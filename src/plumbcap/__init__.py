@@ -15,14 +15,12 @@ from .dualcap import (
     admissible_roots,
     build_dual,
     choose_root,
-    dual_gram,
     string_counts,
 )
 from .embedder import (
     Budget,
     EmbeddingOutcome,
     embed_diagonal,
-    naive_embed_oracle,
     verify_witness,
 )
 from .intlin import (
@@ -63,7 +61,6 @@ from .plumbing import (
     parse_plumbing,
     serialize_plumbing,
     validate,
-    vertex_distance,
 )
 
 __version__ = "1.0.0"
@@ -95,7 +92,6 @@ __all__ = [
     "choose_root",
     "curves_crossed",
     "determinant",
-    "dual_gram",
     "embed_diagonal",
     "first_sylvester_violation",
     "generate_gamma_n",
@@ -104,7 +100,6 @@ __all__ = [
     "gram_to_json",
     "is_negative_definite",
     "mu_bar",
-    "naive_embed_oracle",
     "parse_plumbing",
     "qhd_obstruction",
     "render_report",
@@ -112,6 +107,5 @@ __all__ = [
     "string_counts",
     "validate",
     "verify_witness",
-    "vertex_distance",
     "wu_classes",
 ]

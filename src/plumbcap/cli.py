@@ -22,20 +22,11 @@ import os
 import sys
 
 from . import pipeline
-from .dualcap import NoAdmissibleRootError, build_dual, choose_root
+from .dualcap import build_dual, choose_root
 from .embedder import Budget, embed_diagonal
-from .intlin import (
-    GramMatrix,
-    NonUniqueSpinError,
-    NotDefiniteError,
-    gram_from_json,
-    mu_bar,
-    wu_classes,
-)
+from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
 from .openbook import build_open_book
 from .plumbing import (
-    GraphFormatError,
-    ValidationFailure,
     generate_gamma_n,
     gram_matrix,
     parse_plumbing,
@@ -318,25 +309,18 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print("plumbcap: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except ValidationFailure as exc:
-        print("plumbcap: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except (GraphFormatError, NoAdmissibleRootError,
-            NotDefiniteError, NonUniqueSpinError) as exc:
-        print("plumbcap: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
     except KeyError as exc:
+        # str() of a KeyError is the repr of its key; print the message.
         print("plumbcap: %s" % exc.args[0], file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:
+        # Every domain error (parse, validation, root, definiteness, spin)
+        # is a ValueError, and so is an undecodable input file.
         print("plumbcap: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print("plumbcap: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

@@ -15,9 +15,10 @@ intersection lattice the embedding obstruction is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import intlin
-from .plumbing import PlumbingGraph
+from .plumbing import PlumbingGraph, rooted_tree
 
 
 class NoAdmissibleRootError(ValueError):
@@ -83,33 +84,6 @@ def choose_root(g: PlumbingGraph) -> int:
     return best_vertex
 
 
-def _root_paths(g: PlumbingGraph, root: int) -> dict[int, frozenset[tuple[int, int]]]:
-    """Edge set of the path from each vertex up to the root."""
-    adj = g.adjacency()
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    nxt.append(w)
-        queue = nxt
-    if len(parent) != len(g.ids()):
-        raise ValueError("graph is not connected")
-    paths: dict[int, frozenset[tuple[int, int]]] = {}
-    for v in order:
-        if parent[v] is None:
-            paths[v] = frozenset()
-        else:
-            p = parent[v]
-            paths[v] = paths[p] | {(min(v, p), max(v, p))}
-    return paths
-
-
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings for the given root.
 
@@ -125,11 +99,25 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
         raise NoAdmissibleRootError(
             "root %d is not admissible: -e_v - d_v = %d at it"
             % (root, counts[root] + 1))
-    paths = _root_paths(g, root)
+    parent, depth, order = rooted_tree(g, root)
+    if len(order) != len(counts):
+        raise ValueError("graph is not connected")
+
+    @cache
+    def shared(u: int, v: int) -> int:
+        """Edges common to the root paths of u and v: the depth of their
+        lowest common ancestor."""
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return depth[u]
 
     strings: list[DualString] = []
     for vid in g.ids():
-        dist = len(paths[vid])
+        dist = depth[vid]
         for k in range(counts[vid]):
             strings.append(DualString(
                 label="u%d#%d" % (vid, k),
@@ -143,16 +131,9 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     for i, s in enumerate(strings):
         rows[i][i] = s.framing
         for j in range(i + 1, rank):
-            t = strings[j]
-            shared = len(paths[s.vertex] & paths[t.vertex])
-            rows[i][j] = rows[j][i] = -1 - shared
+            rows[i][j] = rows[j][i] = -1 - shared(s.vertex, strings[j].vertex)
     gram = intlin.GramMatrix.from_rows(rows, labels=[s.label for s in strings])
     return DualConfiguration(root=root, strings=tuple(strings), gram=gram)
-
-
-def dual_gram(g: PlumbingGraph) -> intlin.GramMatrix:
-    """Convenience: the dual lattice at the canonical root."""
-    return build_dual(g, choose_root(g)).gram
 
 
 def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:

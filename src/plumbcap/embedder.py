@@ -49,9 +49,10 @@ class EmbeddingOutcome:
     """Result of an embedding search.
 
     ``embeddable`` is None when the search ran out of budget
-    (``completed`` False); otherwise the verdict is final for the given
-    target rank.  ``nodes`` counts coordinate assignments explored and is
-    deterministic; ``millis`` is wall-clock and is not.
+    (``completed`` False), and JSON carries it as null; otherwise the
+    verdict is final for the given target rank.  ``nodes`` counts
+    coordinate assignments explored and is deterministic; ``millis`` is
+    wall-clock and is not.
     """
 
     embeddable: bool | None
@@ -62,7 +63,7 @@ class EmbeddingOutcome:
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
-            "embeddable": bool(self.embeddable),
+            "embeddable": self.embeddable,
             "nodes": self.nodes,
             "completed": self.completed,
         }
@@ -221,7 +222,8 @@ def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
     witness: list[tuple[int, ...]] = [()] * q.rank
     for position, row in enumerate(order):
         witness[row] = search.placed[position]
-    assert verify_witness(q, witness)
+    if not verify_witness(q, witness):
+        raise RuntimeError("embedding search produced a witness that does not verify")
     return EmbeddingOutcome(
         embeddable=True, witness=tuple(witness), nodes=search.nodes,
         millis=millis, completed=True)
@@ -241,59 +243,3 @@ def verify_witness(q: GramMatrix, m) -> bool:
                 return False
     return True
 
-
-def naive_embed_oracle(q: GramMatrix, r: int) -> EmbeddingOutcome:
-    """Depth-first enumeration with no symmetry reduction at all.
-
-    Deliberately dumb and complete by construction; exists to cross-check
-    embed_diagonal on small instances.  Guards: rank <= 4, r <= 4,
-    |Q[i][i]| <= 6.
-    """
-    if q.rank > 4 or r > 4 or r < 0:
-        raise ValueError("oracle guard: rank <= 4 and r <= 4 required")
-    if any(abs(q.entries[i][i]) > 6 for i in range(q.rank)):
-        raise ValueError("oracle guard: |Q[i][i]| <= 6 required")
-    started = time.monotonic()
-    norms = [-q.entries[i][i] for i in range(q.rank)]
-    nodes = 0
-
-    def all_rows(norm: int) -> list[tuple[int, ...]]:
-        rows: list[tuple[int, ...]] = []
-        bound = isqrt(norm) if norm >= 0 else -1
-        def fill(k: int, acc: list[int], rem: int):
-            if k == r:
-                if rem == 0:
-                    rows.append(tuple(acc))
-                return
-            for v in range(-bound, bound + 1):
-                if v * v <= rem:
-                    acc.append(v)
-                    fill(k + 1, acc, rem - v * v)
-                    acc.pop()
-        if norm >= 0:
-            fill(0, [], norm)
-        return rows
-
-    tables = [all_rows(n) for n in norms]
-    placed: list[tuple[int, ...]] = []
-
-    def place(i: int) -> bool:
-        nonlocal nodes
-        if i == q.rank:
-            return True
-        for row in tables[i]:
-            nodes += 1
-            if all(sum(a * b for a, b in zip(row, placed[j])) == -q.entries[i][j]
-                   for j in range(i)):
-                placed.append(row)
-                if place(i + 1):
-                    return True
-                placed.pop()
-        return False
-
-    found = place(0)
-    millis = int((time.monotonic() - started) * 1000)
-    witness = tuple(placed) if found else None
-    return EmbeddingOutcome(
-        embeddable=found, witness=witness, nodes=nodes,
-        millis=millis, completed=True)

@@ -75,7 +75,11 @@ def gram_to_json(q: GramMatrix) -> str:
 
 
 def gram_from_json(text: str) -> GramMatrix:
-    """Load a GramMatrix from its JSON document; symmetry is required."""
+    """Load a GramMatrix from its JSON document.
+
+    ``rank`` and every entry must be JSON integers (not floats or
+    booleans), and the matrix must be symmetric.
+    """
     doc = json.loads(text)
     try:
         rank = doc["rank"]
@@ -83,59 +87,64 @@ def gram_from_json(text: str) -> GramMatrix:
         gram = doc["gram"]
     except (TypeError, KeyError) as exc:
         raise ValueError("gram JSON needs keys rank/labels/gram") from exc
+    # type() rather than isinstance: JSON true/false must not pass as 1/0.
+    if type(rank) is not int:
+        raise ValueError("gram JSON rank must be an integer, got %r" % (rank,))
+    if not isinstance(gram, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in gram):
+        raise ValueError("gram JSON entries must be integers")
     q = GramMatrix.from_rows(gram, labels=[str(l) for l in labels])
     if q.rank != rank:
         raise ValueError("declared rank %r does not match matrix" % (rank,))
     return q
 
 
-def determinant(q: GramMatrix) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+def _pivots(q: GramMatrix):
+    """Fraction-free (Bareiss) elimination, yielding the signed pivot of
+    each step k = 0, 1, ... before any row swap at that step.
+
+    Until a zero pivot forces a row swap, pivot k is exactly the leading
+    principal minor of order k+1.  The last pivot yielded is always the
+    determinant: it carries the sign of the swaps, and it is 0 when no
+    nonzero pivot is left.
+    """
     n = q.rank
-    if n == 0:
-        return 1
     rows = [list(r) for r in q.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(n):
+        yield sign * rows[k][k]
         if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                return
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # Exact division: Bareiss guarantees prev divides this.
                 rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+
+
+def determinant(q: GramMatrix) -> int:
+    """Exact determinant: the last Bareiss pivot (1 for rank 0)."""
+    det = 1
+    for det in _pivots(q):
+        pass
+    return det
 
 
 def first_sylvester_violation(q: GramMatrix) -> int | None:
     """The smallest k (1-based) whose leading k x k minor breaks the
     alternating-sign test for negative definiteness, or None.
 
-    A zero minor counts as a violation (definite forms have none).  During
-    Bareiss elimination without pivoting the diagonal entry at position k
-    is exactly the leading principal minor of order k+1, which is what
-    makes the single pass below correct.
+    A zero minor counts as a violation (definite forms have none), so the
+    scan stops before elimination would ever swap rows.
     """
-    n = q.rank
-    rows = [list(r) for r in q.entries]
-    prev = 1
-    for k in range(n):
-        minor = rows[k][k]
-        want_negative = (k % 2 == 0)
-        if minor == 0 or (minor < 0) != want_negative:
+    for k, minor in enumerate(_pivots(q)):
+        if minor == 0 or (minor < 0) != (k % 2 == 0):
             return k + 1
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * minor - rows[i][k] * rows[k][j]) // prev
-        prev = minor
     return None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dualcap
-from .plumbing import PlumbingGraph, ValidationFailure, validate
+from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,10 @@ class OpenBookDescription:
     holes: tuple[tuple[int, int], ...]  # (hole id, owner vertex id)
     boundary_curves: tuple[TwistCurve, ...]
     edge_curves: tuple[TwistCurve, ...]
-    page_genus: int = 0
 
     @property
     def curves(self) -> tuple[TwistCurve, ...]:
         return self.boundary_curves + self.edge_curves
-
-    def holes_of(self, vertex: int) -> tuple[int, ...]:
-        return tuple(h for h, owner in self.holes if owner == vertex)
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,40 +66,22 @@ def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
 
     boundary = tuple(TwistCurve(kind="boundary", holes=(h,)) for h, _ in holes)
 
-    try:
-        anchor = dualcap.choose_root(g)
-    except dualcap.NoAdmissibleRootError:  # unreachable for valid graphs
-        anchor = g.ids()[0]
+    # Rooted at the canonical dual root (validity guarantees one), the far
+    # side of an edge is the subtree below its child endpoint.
+    parent, _, order = rooted_tree(g, dualcap.choose_root(g))
+    below: dict[int, list[int]] = {v: [] for v in order}
+    for h, owner in holes:
+        below[owner].append(h)
+    for v in reversed(order):
+        if parent[v] is not None:
+            below[parent[v]] += below[v]
     edge_curves = []
-    for edge in g.edges:
-        a, b = edge
-        far = b if a in _side_of(g, edge, anchor) else a
-        far_vertices = _side_of(g, edge, far)
-        encircled = tuple(sorted(h for h, owner in holes if owner in far_vertices))
-        edge_curves.append(TwistCurve(kind="edge", holes=encircled, edge=edge))
+    for a, b in g.edges:
+        child = b if parent[b] == a else a
+        edge_curves.append(TwistCurve(kind="edge", holes=tuple(sorted(below[child])), edge=(a, b)))
 
     return OpenBookDescription(
-        holes=tuple(holes),
-        boundary_curves=boundary,
-        edge_curves=tuple(edge_curves),
-        page_genus=0,
-    )
-
-
-def _side_of(g: PlumbingGraph, edge: tuple[int, int], start: int) -> set[int]:
-    """Vertices of the component of the tree minus ``edge`` containing start."""
-    adj = g.adjacency()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if {v, w} == set(edge):
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+        holes=tuple(holes), boundary_curves=boundary, edge_curves=tuple(edge_curves))
 
 
 def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:

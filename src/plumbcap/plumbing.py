@@ -10,7 +10,7 @@ three properties separately so callers can explain rejections.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import intlin
 
@@ -78,12 +78,6 @@ class PlumbingGraph:
     def ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.vertices)
 
-    def framing(self, vid: int) -> int:
-        for v, e in self.vertices:
-            if v == vid:
-                return e
-        raise KeyError("no vertex %d" % vid)
-
     def framing_map(self) -> dict[int, int]:
         return dict(self.vertices)
 
@@ -93,11 +87,6 @@ class PlumbingGraph:
             adj[a].append(b)
             adj[b].append(a)
         return adj
-
-    def degree(self, vid: int) -> int:
-        if vid not in {v for v, _ in self.vertices}:
-            raise KeyError("no vertex %d" % vid)
-        return sum(1 for a, b in self.edges if vid in (a, b))
 
 
 @dataclass(frozen=True)
@@ -211,19 +200,27 @@ def gram_matrix(g: PlumbingGraph) -> intlin.GramMatrix:
     return intlin.GramMatrix.from_rows(rows, labels=[str(v) for v in ids])
 
 
-def _component_of(g: PlumbingGraph, start: int, skip_edge: tuple[int, int] | None = None) -> set[int]:
+def rooted_tree(g: PlumbingGraph, root: int) -> tuple[
+        dict[int, int | None], dict[int, int], list[int]]:
+    """Breadth-first walk from ``root``: ``(parent, depth, order)``.
+
+    ``order`` lists the vertices reachable from ``root`` in visiting order,
+    so each comes after its parent; ``parent[root]`` is None.  On a tree
+    ``depth`` is the distance to the root, and the edges shared by the root
+    paths of u and v number depth[lowest common ancestor].  Raises KeyError
+    for an unknown root.
+    """
     adj = g.adjacency()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
+    parent: dict[int, int | None] = {root: None}
+    depth = {root: 0}
+    order = [root]
+    for v in order:
         for w in adj[v]:
-            if skip_edge is not None and {v, w} == set(skip_edge):
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+            if w not in depth:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+    return parent, depth, order
 
 
 def validate(g: PlumbingGraph) -> ValidationReport:
@@ -237,27 +234,19 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     edge.
     """
     ids = g.ids()
-    offenders: set[int] = set()
-
-    lowest = ids[0]
-    component = _component_of(g, lowest)
-    connected = len(component) == len(ids)
+    offenders = set(ids).difference(rooted_tree(g, ids[0])[2])
+    connected = not offenders
     is_tree = connected and len(g.edges) == len(ids) - 1
-    if not connected:
-        offenders.update(set(ids) - component)
-    elif not is_tree:
+    if connected and not is_tree:
         for edge in g.edges:
-            still = _component_of(g, lowest, skip_edge=edge)
-            if len(still) == len(ids):
+            rest = replace(g, edges=tuple(e for e in g.edges if e != edge))
+            if len(rooted_tree(rest, ids[0])[2]) == len(ids):
                 offenders.update(edge)
                 break
 
     framings = g.framing_map()
-    degrees = {v: 0 for v in ids}
-    for a, b in g.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    rfc_bad = [v for v in ids if abs(framings[v]) < degrees[v]]
+    adj = g.adjacency()
+    rfc_bad = [v for v in ids if abs(framings[v]) < len(adj[v])]
     offenders.update(rfc_bad)
 
     q = gram_matrix(g)
@@ -303,25 +292,3 @@ def generate_gamma_n(n: int) -> PlumbingGraph:
         prev = k
     return PlumbingGraph(vertices=tuple(vertices), edges=tuple(edges))
 
-
-def vertex_distance(g: PlumbingGraph, u: int, v: int) -> int:
-    """Edges on the unique u-v path; rejects unknown or unreachable pairs."""
-    known = set(g.ids())
-    if u not in known or v not in known:
-        raise KeyError("unknown vertex id")
-    if u == v:
-        return 0
-    adj = g.adjacency()
-    dist = {u: 0}
-    queue = [u]
-    while queue:
-        nxt = []
-        for w in queue:
-            for x in adj[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    if x == v:
-                        return dist[x]
-                    nxt.append(x)
-        queue = nxt
-    raise ValueError("vertices %d and %d are not connected" % (u, v))

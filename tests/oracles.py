@@ -4,14 +4,19 @@ Everything here deliberately uses a different algorithm from the package:
 determinants by the permutation sum instead of elimination, definiteness
 by explicit leading minors, Wu classes by exhaustive enumeration, and the
 dual Gram matrix by counting twist boxes on the open book page rather
-than by shared root paths.
+than by shared root paths, and embeddings by enumerating every row with
+no symmetry reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
+from math import isqrt
 
+from plumbcap.embedder import EmbeddingOutcome
+from plumbcap.intlin import GramMatrix
 from plumbcap.openbook import build_open_book
 from plumbcap.plumbing import PlumbingGraph, validate
 
@@ -113,3 +118,60 @@ def random_valid_tree(rng: random.Random, max_vertices: int = 8) -> PlumbingGrap
         graph = PlumbingGraph(vertices=vertices, edges=tuple(edges))
         if validate(graph).all_ok:
             return graph
+
+
+def naive_embed_oracle(q: GramMatrix, r: int) -> EmbeddingOutcome:
+    """Depth-first enumeration with no symmetry reduction at all.
+
+    Deliberately dumb and complete by construction; exists to cross-check
+    embed_diagonal on small instances.  Guards: rank <= 4, r <= 4,
+    |Q[i][i]| <= 6.
+    """
+    if q.rank > 4 or r > 4 or r < 0:
+        raise ValueError("oracle guard: rank <= 4 and r <= 4 required")
+    if any(abs(q.entries[i][i]) > 6 for i in range(q.rank)):
+        raise ValueError("oracle guard: |Q[i][i]| <= 6 required")
+    started = time.monotonic()
+    norms = [-q.entries[i][i] for i in range(q.rank)]
+    nodes = 0
+
+    def all_rows(norm: int) -> list[tuple[int, ...]]:
+        rows: list[tuple[int, ...]] = []
+        bound = isqrt(norm) if norm >= 0 else -1
+        def fill(k: int, acc: list[int], rem: int):
+            if k == r:
+                if rem == 0:
+                    rows.append(tuple(acc))
+                return
+            for v in range(-bound, bound + 1):
+                if v * v <= rem:
+                    acc.append(v)
+                    fill(k + 1, acc, rem - v * v)
+                    acc.pop()
+        if norm >= 0:
+            fill(0, [], norm)
+        return rows
+
+    tables = [all_rows(n) for n in norms]
+    placed: list[tuple[int, ...]] = []
+
+    def place(i: int) -> bool:
+        nonlocal nodes
+        if i == q.rank:
+            return True
+        for row in tables[i]:
+            nodes += 1
+            if all(sum(a * b for a, b in zip(row, placed[j])) == -q.entries[i][j]
+                   for j in range(i)):
+                placed.append(row)
+                if place(i + 1):
+                    return True
+                placed.pop()
+        return False
+
+    found = place(0)
+    millis = int((time.monotonic() - started) * 1000)
+    witness = tuple(placed) if found else None
+    return EmbeddingOutcome(
+        embeddable=found, witness=witness, nodes=nodes,
+        millis=millis, completed=True)

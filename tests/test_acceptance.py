@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_valid_tree
+from oracles import naive_embed_oracle, random_valid_tree
 from plumbcap.dualcap import build_dual, choose_root, string_counts
-from plumbcap.embedder import embed_diagonal, naive_embed_oracle, verify_witness
+from plumbcap.embedder import embed_diagonal, verify_witness
 from plumbcap.intlin import (
     GramMatrix,
     determinant,

@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import plumbcap
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
 from plumbcap.intlin import GramMatrix, gram_to_json
@@ -135,6 +138,21 @@ def test_embed_budget_exits_4(tmp_path, capsys):
     assert "undecided" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc", [
+    '{"rank": 1, "labels": ["a"], "gram": [[-2.7]]}',
+    '{"rank": 2, "labels": ["a", "b"], "gram": [[-2, true], [true, -2]]}',
+    '{"rank": true, "labels": ["a"], "gram": [[-2]]}',
+    '{"rank": 1.0, "labels": ["a"], "gram": [[-2]]}',
+    '{"rank": 1, "labels": ["a"], "gram": [["-2"]]}',
+])
+def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
+    path = write(tmp_path, "q.json", doc)
+    assert cli_main(["embed", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("plumbcap: ")
+
+
 def test_embed_rejects_indefinite_gram(tmp_path, capsys):
     path = write(tmp_path, "bad.json",
                  gram_to_json(GramMatrix.from_rows([[2]])))
@@ -223,8 +241,12 @@ def test_stdin_dash(monkeypatch, capsys):
 
 
 def test_console_script_pipeline():
+    # Run the [project.scripts] target on both sides of the pipe, so the
+    # test needs no installed plumbcap executable.
+    script = "%s -c 'from plumbcap.cli import main; main()'" % shlex.quote(sys.executable)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
     proc = subprocess.run(
-        "plumbcap gamma-n 2 | plumbcap obstruct -",
-        shell=True, capture_output=True, text=True)
+        "%s gamma-n 2 | %s obstruct -" % (script, script),
+        shell=True, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "verdict: inconclusive" in proc.stdout

@@ -1,16 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from oracles import random_valid_tree
+import plumbcap
+from oracles import naive_embed_oracle, random_valid_tree
 from plumbcap.dualcap import admissible_roots, build_dual
-from plumbcap.embedder import (
-    Budget,
-    embed_diagonal,
-    naive_embed_oracle,
-    verify_witness,
-)
+from plumbcap.embedder import Budget, embed_diagonal, verify_witness
 from plumbcap.intlin import GramMatrix, NotDefiniteError, is_negative_definite
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
 
@@ -128,7 +127,21 @@ def test_outcome_json_shape():
     undecided = embed_diagonal(
         build_dual(generate_gamma_n(7), 2).gram, 14, Budget(max_nodes=10))
     doc = undecided.to_json_dict()
-    assert doc["embeddable"] is False and doc["completed"] is False
+    assert doc["embeddable"] is None and doc["completed"] is False
+
+
+def test_witness_check_survives_optimized_python():
+    # Under -O an assert would vanish and a bad witness would be returned.
+    script = (
+        "import plumbcap.embedder as e\n"
+        "from plumbcap.intlin import GramMatrix\n"
+        "e.verify_witness = lambda q, m: False\n"
+        "print(e.embed_diagonal(GramMatrix.from_rows([[-1]]), 1, None))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode != 0, proc.stdout
+    assert "RuntimeError" in proc.stderr
 
 
 def test_oracle_guards():

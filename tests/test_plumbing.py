@@ -9,9 +9,9 @@ from plumbcap.plumbing import (
     generate_gamma_n,
     gram_matrix,
     parse_plumbing,
+    rooted_tree,
     serialize_plumbing,
     validate,
-    vertex_distance,
 )
 
 CHAIN3 = PlumbingGraph(
@@ -22,8 +22,8 @@ def test_graph_canonicalization():
     g = PlumbingGraph(vertices=((2, -3), (0, -2)), edges=((2, 0),))
     assert g.ids() == (0, 2)
     assert g.edges == ((0, 2),)
-    assert g.framing(2) == -3
-    assert g.degree(0) == 1
+    assert g.framing_map()[2] == -3
+    assert g.adjacency() == {0: [2], 2: [0]}
 
 
 def test_graph_rejects_bad_structure():
@@ -137,12 +137,25 @@ def test_validate_flags_disconnected_graph():
 
 
 def test_validate_flags_cycle():
+    # With a cycle, the offenders are the endpoints of the first edge (in
+    # sorted order) whose removal leaves the graph connected; in a forest,
+    # the vertices outside the component of the lowest id.
     g = PlumbingGraph(
         vertices=((0, -3), (1, -3), (2, -3)),
         edges=((0, 1), (1, 2), (0, 2)))
     report = validate(g)
     assert not report.is_tree
-    assert report.offending_vertices != ()
+    assert report.offending_vertices == (0, 1)
+
+    tailed = PlumbingGraph(
+        vertices=((0, -3), (1, -3), (2, -3), (3, -3)),
+        edges=((0, 1), (1, 2), (2, 3), (1, 3)))
+    report = validate(tailed)
+    assert not report.is_tree
+    assert report.offending_vertices == (1, 2)
+
+    forest = PlumbingGraph(vertices=((0, -2), (1, -2), (2, -2)), edges=((1, 2),))
+    assert validate(forest).offending_vertices == (1, 2)
 
 
 def test_validate_positive_framing():
@@ -178,7 +191,8 @@ def test_generate_gamma_n_structure():
     assert g.framing_map()[2] == -8
     assert g.framing_map()[12] == -2
     assert (11, 12) in g.edges
-    assert g.degree(2) == 3 and g.degree(3) == 3
+    adj = g.adjacency()
+    assert len(adj[2]) == 3 and len(adj[3]) == 3
     with pytest.raises(ValueError):
         generate_gamma_n(1)
 
@@ -186,21 +200,25 @@ def test_generate_gamma_n_structure():
 def test_generate_gamma_2_has_single_chain_vertex():
     g = generate_gamma_n(2)
     assert g.ids() == tuple(range(8))
-    assert g.degree(7) == 1
+    assert g.adjacency()[7] == [6]
     assert g.framing_map()[2] == -3
 
 
 def test_vertex_distance():
     g = generate_gamma_n(7)
-    assert vertex_distance(g, 2, 2) == 0
-    assert vertex_distance(g, 0, 2) == 2
-    assert vertex_distance(g, 12, 2) == 7
-    assert vertex_distance(g, 0, 4) == 4
+    parent, depth, order = rooted_tree(g, 2)
+    assert order[0] == 2 and parent[2] is None
+    assert depth[2] == 0
+    assert depth[0] == 2
+    assert depth[12] == 7
+    assert rooted_tree(g, 0)[1][4] == 4
+    assert all(depth[parent[v]] == depth[v] - 1 for v in order[1:])
+    assert all(order.index(parent[v]) < order.index(v) for v in order[1:])
     with pytest.raises(KeyError):
-        vertex_distance(g, 0, 99)
+        rooted_tree(g, 99)
+    # A walk reaches only its own component.
     disconnected = PlumbingGraph(vertices=((0, -2), (1, -2)), edges=())
-    with pytest.raises(ValueError):
-        vertex_distance(disconnected, 0, 1)
+    assert rooted_tree(disconnected, 0) == ({0: None}, {0: 0}, [0])
 
 
 def test_vertex_distance_is_additive_along_tree_paths():
@@ -208,11 +226,10 @@ def test_vertex_distance_is_additive_along_tree_paths():
     # the triangle inequality an equality.
     g = generate_gamma_n(5)
     ids = g.ids()
+    dist = {a: rooted_tree(g, a)[1] for a in ids}
     for a in ids:
         for c in ids:
-            whole = vertex_distance(g, a, c)
-            assert whole == vertex_distance(g, c, a)
-            hits = [b for b in ids
-                    if vertex_distance(g, a, b) + vertex_distance(g, b, c)
-                    == whole]
+            whole = dist[a][c]
+            assert whole == dist[c][a]
+            hits = [b for b in ids if dist[a][b] + dist[b][c] == whole]
             assert len(hits) == whole + 1
