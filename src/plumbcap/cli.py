@@ -17,6 +17,7 @@ deterministic once --no-timings removes the wall-clock fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -224,6 +225,7 @@ def _add_file(sub, what: str) -> None:
     sub.add_argument("file", help="%s, or - for stdin" % what)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plumbcap",

@@ -7,19 +7,24 @@ The search is exhaustive: an "embeddable" verdict always carries a witness,
 and a completed "not embeddable" verdict means no embedding exists at all.
 
 Rows are assigned one at a time, most constrained (largest |Q[i][i]|)
-first.  Candidate rows are enumerated coordinate by coordinate with exact
-norm and inner-product constraints, pruned by Cauchy-Schwarz against every
-previously placed row.  Signed permutations of the target coordinates are
-factored out: coordinates whose value history over the placed rows is
+first, and each row coordinate by coordinate, values high to low, with
+exact norm and inner-product constraints pruned by Cauchy-Schwarz against
+every previously placed row.  The search is one loop over positions
+(i, k), coordinate k of the i-th placed row, with flat per-position state
+(value, lowest value, norm and inner products left); backtracking steps
+to the previous position.  Signed permutations of the target coordinates
+are factored out: coordinates whose value history over the placed rows is
 identical are interchangeable, so within such a class the new row must be
 non-increasing, and a coordinate untouched so far can be flipped, so its
-value is forced nonnegative.  Canonicalizing each row against the subgroup
-that fixes the placed rows pointwise keeps the reduction sound *and*
-complete: any embedding can be rewritten step by step into one the
-enumerator visits.
+value is forced nonnegative.  When a row is completed the classes of the
+next row, each coordinate's predecessor in its class and the row's suffix
+sums of squares are built once, in O(r).  Canonicalizing each row against
+the subgroup that fixes the placed rows pointwise keeps the reduction
+sound *and* complete: any embedding can be rewritten step by step into
+one the enumerator visits.
 
-The default mode is sequential with a fixed enumeration order, so the
-verdict, the node count and the witness are all reproducible run to run.
+The enumeration order is fixed, so the verdict, the node count and the
+witness are all reproducible run to run.
 """
 
 from __future__ import annotations
@@ -74,106 +79,92 @@ class EmbeddingOutcome:
         return doc
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _search(target: list[list[int]], order: list[int], r: int, budget: Budget):
+    """Walk positions (i, k), coordinate k of row order[i], depth first.
 
-
-class _Search:
-    def __init__(self, target: list[list[int]], order: list[int], r: int, budget: Budget):
-        self.target = target          # -Q, row/column order as given
-        self.order = order            # row placement order
-        self.r = r
-        self.nodes = 0
-        self.max_nodes = budget.max_nodes
-        self.deadline = None
-        if budget.max_millis is not None:
-            self.deadline = time.monotonic() + budget.max_millis / 1000.0
-        self.placed: list[tuple[int, ...]] = []
-
-    def tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExceeded
-
-    def run(self) -> bool:
-        return self._place(0)
-
-    def _place(self, i: int) -> bool:
-        if i == len(self.order):
-            return True
-        row = self.order[i]
-        norm = self.target[row][row]
-        required = [self.target[row][self.order[j]] for j in range(i)]
-        for candidate in self._candidates(norm, required):
-            self.placed.append(candidate)
-            if self._place(i + 1):
-                return True
-            self.placed.pop()
-        return False
-
-    def _candidates(self, norm: int, required: list[int]):
-        """Canonical rows x with |x|^2 = norm and x . placed[j] = required[j]."""
-        r = self.r
-        placed = self.placed
-        # Coordinate classes by value history; class -1 entries are fresh
-        # (all-zero history), where sign flips are still free.
-        histories: dict[tuple[int, ...], int] = {}
-        class_of = [0] * r
-        fresh = [False] * r
-        for k in range(r):
-            h = tuple(p[k] for p in placed)
-            if h not in histories:
-                histories[h] = len(histories)
-            class_of[k] = histories[h]
-            fresh[k] = not any(h)
-        # Suffix sums of squares per placed row, for Cauchy-Schwarz pruning.
-        suffix = []
-        for p in placed:
-            s = [0] * (r + 1)
-            for k in range(r - 1, -1, -1):
-                s[k] = s[k + 1] + p[k] * p[k]
-            suffix.append(s)
-
-        x = [0] * r
-        last: dict[int, int] = {}
-
-        def descend(k: int, rem: int, needs: list[int]):
-            if k == r:
-                if rem == 0:
-                    yield tuple(x)
-                return
-            cls = class_of[k]
-            hi = isqrt(rem)
-            if cls in last:
-                hi = min(hi, last[cls])
-            lo = 0 if fresh[k] else -isqrt(rem)
-            for v in range(hi, lo - 1, -1):
-                self.tick()
-                rem2 = rem - v * v
-                ok = True
-                needs2 = []
-                for j, need in enumerate(needs):
-                    need2 = need - v * placed[j][k]
-                    if need2 * need2 > rem2 * suffix[j][k + 1]:
-                        ok = False
-                        break
-                    needs2.append(need2)
-                if not ok:
-                    continue
-                x[k] = v
-                prev = last.get(cls)
-                last[cls] = v
-                yield from descend(k + 1, rem2, needs2)
-                if prev is None:
-                    del last[cls]
-                else:
-                    last[cls] = prev
-            x[k] = 0
-
-        yield from descend(0, norm, required)
+    Returns (rows, nodes, completed): the placed rows in placement order,
+    or None when no embedding exists or the budget ran out first.
+    """
+    n = len(order)
+    if r == 0:
+        return None, 0, True
+    max_nodes = budget.max_nodes
+    deadline = None
+    if budget.max_millis is not None:
+        deadline = time.monotonic() + budget.max_millis / 1000.0
+    x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
+    low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
+    rem = [[0] * r for _ in range(n)]        # norm left for coordinates k.. of row i
+    needs = [[()] * r for _ in range(n)]     # inner products left with rows 0..i-1
+    suffix = [None] * n                      # suffix[j][k]: sum of x[j][k:]^2, row j done
+    # Per row i, from the histories of rows 0..i-1: fresh[i][k] when
+    # coordinate k has been 0 so far, before[i][k] the previous coordinate
+    # of k's class (or -1), cls[i][k] the first coordinate of its class.
+    fresh = [None] * n
+    before = [None] * n
+    cls = [None] * n
+    fresh[0], before[0], cls[0] = [True] * r, list(range(-1, r - 1)), [0] * r
+    first = order[0]
+    rem[0][0] = target[first][first]
+    x[0][0] = isqrt(rem[0][0]) + 1
+    nodes = i = k = 0
+    while True:
+        v = x[i][k] - 1
+        if v < low[i][k]:
+            if k:
+                k -= 1
+            elif i:
+                i, k = i - 1, r - 1
+            else:
+                return None, nodes, True
+            continue
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            return None, nodes, False
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            return None, nodes, False
+        x[i][k] = v
+        left = rem[i][k] - v * v
+        ahead = []
+        for j, need in enumerate(needs[i][k]):
+            need -= v * x[j][k]
+            if need * need > left * suffix[j][k + 1]:
+                break
+            ahead.append(need)
+        else:
+            if k + 1 < r:
+                k += 1
+            elif left:
+                continue
+            elif i + 1 == n:
+                return x, nodes, True
+            else:
+                # Row i is done: its suffix sums, and the classes of row
+                # i + 1, which split each class of row i by x[i][k].
+                done, total = x[i], 0
+                suffix[i] = s = [0] * (r + 1)
+                for c in range(r - 1, -1, -1):
+                    total += done[c] * done[c]
+                    s[c] = total
+                fresh[i + 1] = [f and not d for f, d in zip(fresh[i], done)]
+                before[i + 1] = b = [-1] * r
+                cls[i + 1] = split = list(range(r))
+                last: dict[tuple[int, int], int] = {}
+                for c, key in enumerate(zip(cls[i], done)):
+                    if key in last:
+                        b[c] = last[key]
+                        split[c] = split[b[c]]
+                    last[key] = c
+                i, k = i + 1, 0
+                row = order[i]
+                left = target[row][row]
+                ahead = [target[row][order[j]] for j in range(i)]
+            rem[i][k], needs[i][k] = left, ahead
+            top = hi = isqrt(left)
+            if before[i][k] >= 0 and x[i][before[i][k]] < hi:
+                hi = x[i][before[i][k]]
+            low[i][k] = 0 if fresh[i][k] else -top
+            x[i][k] = hi + 1
 
 
 def _as_budget(budget) -> Budget:
@@ -206,26 +197,19 @@ def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
 
     target = [[-v for v in row] for row in q.entries]
     order = sorted(range(q.rank), key=lambda i: (-target[i][i], i))
-    search = _Search(target, order, r, limits)
-    try:
-        found = search.run()
-    except _BudgetExceeded:
-        millis = int((time.monotonic() - started) * 1000)
-        return EmbeddingOutcome(
-            embeddable=None, witness=None, nodes=search.nodes,
-            millis=millis, completed=False)
+    rows, nodes, completed = _search(target, order, r, limits)
     millis = int((time.monotonic() - started) * 1000)
-    if not found:
+    if rows is None:
         return EmbeddingOutcome(
-            embeddable=False, witness=None, nodes=search.nodes,
-            millis=millis, completed=True)
+            embeddable=False if completed else None, witness=None,
+            nodes=nodes, millis=millis, completed=completed)
     witness: list[tuple[int, ...]] = [()] * q.rank
     for position, row in enumerate(order):
-        witness[row] = search.placed[position]
+        witness[row] = tuple(rows[position])
     if not verify_witness(q, witness):
         raise RuntimeError("embedding search produced a witness that does not verify")
     return EmbeddingOutcome(
-        embeddable=True, witness=tuple(witness), nodes=search.nodes,
+        embeddable=True, witness=tuple(witness), nodes=nodes,
         millis=millis, completed=True)
 
 

@@ -78,7 +78,7 @@ def gram_from_json(text: str) -> GramMatrix:
     """Load a GramMatrix from its JSON document.
 
     ``rank`` and every entry must be JSON integers (not floats or
-    booleans), and the matrix must be symmetric.
+    booleans), ``labels`` a list of strings, and the matrix symmetric.
     """
     doc = json.loads(text)
     try:
@@ -93,7 +93,9 @@ def gram_from_json(text: str) -> GramMatrix:
     if not isinstance(gram, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in gram):
         raise ValueError("gram JSON entries must be integers")
-    q = GramMatrix.from_rows(gram, labels=[str(l) for l in labels])
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise ValueError("gram JSON labels must be a list of strings")
+    q = GramMatrix.from_rows(gram, labels=labels)
     if q.rank != rank:
         raise ValueError("declared rank %r does not match matrix" % (rank,))
     return q

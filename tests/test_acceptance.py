@@ -213,10 +213,11 @@ def test_criterion_9_family_discovery_fixture(family_runs):
 
 
 def test_criterion_6_witness_soundness(family_runs, oracle_sweep, small_graph_reports):
-    # embed_diagonal additionally re-checks every witness it returns via
-    # an internal verify_witness assertion, so the guarantee extends to
-    # embeddable verdicts anywhere in the suite; here the registry from
-    # the other criteria is checked explicitly.
+    # embed_diagonal additionally re-checks every witness it returns with
+    # verify_witness and raises RuntimeError on a mismatch (also under
+    # python -O), so the guarantee extends to embeddable verdicts anywhere
+    # in the suite; here the registry from the other criteria is checked
+    # explicitly.
     assert len(WITNESS_REGISTRY) >= 40
     assert any(gram.rank >= 9 for gram, _ in WITNESS_REGISTRY)
     for gram, witness in WITNESS_REGISTRY:

@@ -144,6 +144,9 @@ def test_embed_budget_exits_4(tmp_path, capsys):
     '{"rank": true, "labels": ["a"], "gram": [[-2]]}',
     '{"rank": 1.0, "labels": ["a"], "gram": [[-2]]}',
     '{"rank": 1, "labels": ["a"], "gram": [["-2"]]}',
+    '{"rank": 1, "labels": null, "gram": [[-2]]}',
+    '{"rank": 1, "labels": 7, "gram": [[-2]]}',
+    '{"rank": 1, "labels": [[1]], "gram": [[-2]]}',
 ])
 def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
     path = write(tmp_path, "q.json", doc)
@@ -151,6 +154,14 @@ def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("plumbcap: ")
+
+
+def test_embed_deep_search_exits_0(tmp_path, capsys):
+    path = write(tmp_path, "q.json", gram_to_json(GramMatrix.from_rows([[-1]])))
+    assert cli_main(["embed", path, "--rank", "1200", "--json", "--no-timings"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"embeddable": True, "nodes": 1200, "completed": True,
+                   "witness": [[1] + [0] * 1199]}
 
 
 def test_embed_rejects_indefinite_gram(tmp_path, capsys):

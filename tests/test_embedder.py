@@ -5,10 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import plumbcap
 from oracles import naive_embed_oracle, random_valid_tree
-from plumbcap.dualcap import admissible_roots, build_dual
+from plumbcap.dualcap import admissible_roots, build_dual, choose_root
 from plumbcap.embedder import Budget, embed_diagonal, verify_witness
 from plumbcap.intlin import GramMatrix, NotDefiniteError, is_negative_definite
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
@@ -99,6 +101,44 @@ def test_time_budget_interrupts_search():
     outcome = embed_diagonal(q, q.rank, Budget(max_millis=0))
     assert outcome.completed is False
     assert outcome.embeddable is None
+
+
+def test_deep_search_does_not_recurse():
+    # One position per coordinate: 1,200 of them, past the recursion limit.
+    outcome = embed_diagonal(GramMatrix.from_rows([[-1]]), 1200, None)
+    assert outcome.embeddable is True
+    assert outcome.nodes == 1200
+    assert outcome.witness == ((1,) + (0,) * 1199,)
+
+
+def test_enumeration_order_is_pinned():
+    # The gamma-2 witness README prints: rows in order, values high to low.
+    q = build_dual(generate_gamma_n(2), 0).gram
+    outcome = embed_diagonal(q, q.rank, None)
+    assert outcome.nodes == 1751
+    assert outcome.witness == (
+        (0, 0, 1, 0, 0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0, 0, 0, 0, 1),
+        (2, 1, 1, 0, 0, 0, 0, 0, 0),
+        (1, 2, 1, 0, 0, 0, 0, 0, 0),
+        (1, 1, 1, 1, 1, 1, 0, 0, 0),
+        (1, 1, 1, 1, 1, 0, 1, 0, 0),
+        (1, 1, 0, 1, 0, 0, 0, 1, 1),
+        (1, 1, 0, 0, 1, 0, 0, 1, 1),
+        (1, 1, 0, 0, 0, 1, 1, 1, 1),
+    )
+
+
+@pytest.mark.parametrize("framing, embeddable, nodes, witness", [
+    (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    (-33, False, 2832, None),
+])
+def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
+    g = parse_plumbing("v 0 %d\n" % framing)
+    q = build_dual(g, choose_root(g)).gram
+    outcome = embed_diagonal(q, q.rank, None)
+    assert (outcome.embeddable, outcome.nodes, outcome.witness) == (
+        embeddable, nodes, witness)
 
 
 def test_deterministic_node_counts():
@@ -243,3 +283,39 @@ def test_whole_cap_diagonalizes_with_the_tree():
             continue
         both_sides_embed(g)
         done += 1
+
+
+@st.composite
+def small_definite_forms(draw):
+    """Negative definite forms within the oracle's guards."""
+    n = draw(st.integers(0, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = -draw(st.integers(1, 6))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    q = GramMatrix.from_rows(rows)
+    assume(is_negative_definite(q))
+    return q
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_definite_forms(), st.integers(0, 4))
+def test_property_matches_oracle(q, r):
+    mine = embed_diagonal(q, r, None)
+    assert mine.completed is True
+    assert mine.embeddable == naive_embed_oracle(q, r).embeddable
+    if mine.embeddable:
+        assert verify_witness(q, mine.witness)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_definite_forms(), st.integers(0, 4), st.data())
+def test_property_node_budget_stops_one_past_the_limit(q, r, data):
+    full = embed_diagonal(q, r, None).nodes
+    assume(full > 0)
+    k = data.draw(st.integers(0, full - 1))
+    outcome = embed_diagonal(q, r, Budget(max_nodes=k))
+    assert outcome.completed is False
+    assert outcome.embeddable is None
+    assert outcome.nodes == k + 1
