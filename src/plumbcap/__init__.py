@@ -40,7 +40,6 @@ from .openbook import (
     OpenBookDescription,
     TwistCurve,
     build_open_book,
-    curves_crossed,
 )
 from .pipeline import (
     INCONCLUSIVE,
@@ -90,7 +89,6 @@ __all__ = [
     "build_dual",
     "build_open_book",
     "choose_root",
-    "curves_crossed",
     "determinant",
     "embed_diagonal",
     "first_sylvester_violation",

@@ -25,7 +25,7 @@ import sys
 from . import pipeline
 from .dualcap import build_dual, choose_root
 from .embedder import Budget, embed_diagonal
-from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
+from .intlin import GramMatrix, gram_from_json, gram_to_json, mu_bar, wu_classes
 from .openbook import build_open_book
 from .plumbing import (
     generate_gamma_n,
@@ -106,7 +106,7 @@ def _cmd_validate(args) -> int:
 def _cmd_gram(args) -> int:
     q = gram_matrix(_load_graph(args.file))
     if args.json:
-        _emit_json(q.to_json_dict())
+        sys.stdout.write(gram_to_json(q))
     else:
         print(_render_gram(q))
     return EXIT_OK
@@ -134,7 +134,7 @@ def _cmd_dual(args) -> int:
     dual = build_dual(graph, root)
     if args.gram_only:
         if args.json:
-            _emit_json(dual.gram.to_json_dict())
+            sys.stdout.write(gram_to_json(dual.gram))
         else:
             print(_render_gram(dual.gram))
         return EXIT_OK

@@ -12,16 +12,25 @@ exact norm and inner-product constraints pruned by Cauchy-Schwarz against
 every previously placed row.  The search is one loop over positions
 (i, k), coordinate k of the i-th placed row, with flat per-position state
 (value, lowest value, norm and inner products left); backtracking steps
-to the previous position.  Signed permutations of the target coordinates
-are factored out: coordinates whose value history over the placed rows is
-identical are interchangeable, so within such a class the new row must be
+to the previous position.  Once a row is complete its norm left at k is
+the sum of its squares from k on, which is what Cauchy-Schwarz needs.
+
+Signed permutations of the target coordinates are factored out:
+coordinates whose value history over the placed rows is identical are
+interchangeable, so within such a class the new row must be
 non-increasing, and a coordinate untouched so far can be flipped, so its
-value is forced nonnegative.  When a row is completed the classes of the
-next row, each coordinate's predecessor in its class and the row's suffix
-sums of squares are built once, in O(r).  Canonicalizing each row against
-the subgroup that fixes the placed rows pointwise keeps the reduction
-sound *and* complete: any embedding can be rewritten step by step into
-one the enumerator visits.
+value is forced nonnegative.  Every class is a run of adjacent
+coordinates: before the first row all of [0, r) is one run, and a row
+that is non-increasing on each run puts equal values side by side, so
+splitting the runs by value leaves runs.  One flag per coordinate (same
+history as the coordinate before it) therefore holds the classes, and
+the bound within a class is the previous coordinate's value.  The
+untouched coordinates form one such run, and a suffix, since a
+nonnegative non-increasing row leaves zeros only at its end; one index
+per row marks where it starts.  Canonicalizing each row against the
+subgroup that fixes the placed rows pointwise keeps the reduction sound
+*and* complete: any embedding can be rewritten step by step into one the
+enumerator visits.
 
 The enumeration order is fixed, so the verdict, the node count and the
 witness are all reproducible run to run.
@@ -79,13 +88,14 @@ class EmbeddingOutcome:
         return doc
 
 
-def _search(target: list[list[int]], order: list[int], r: int, budget: Budget):
-    """Walk positions (i, k), coordinate k of row order[i], depth first.
+def _search(target: list[list[int]], r: int, budget: Budget):
+    """Walk positions (i, k), coordinate k of row i, depth first.
 
-    Returns (rows, nodes, completed): the placed rows in placement order,
-    or None when no embedding exists or the budget ran out first.
+    ``target`` is the negated form with its rows already in search order.
+    Returns (rows, nodes, completed): the placed rows, or None when no
+    embedding exists or the budget ran out first.
     """
-    n = len(order)
+    n = len(target)
     if r == 0:
         return None, 0, True
     max_nodes = budget.max_nodes
@@ -94,18 +104,14 @@ def _search(target: list[list[int]], order: list[int], r: int, budget: Budget):
         deadline = time.monotonic() + budget.max_millis / 1000.0
     x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
     low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
-    rem = [[0] * r for _ in range(n)]        # norm left for coordinates k.. of row i
+    rem = [[0] * (r + 1) for _ in range(n)]  # norm left for coordinates k.. of row i, 0 at r
     needs = [[()] * r for _ in range(n)]     # inner products left with rows 0..i-1
-    suffix = [None] * n                      # suffix[j][k]: sum of x[j][k:]^2, row j done
-    # Per row i, from the histories of rows 0..i-1: fresh[i][k] when
-    # coordinate k has been 0 so far, before[i][k] the previous coordinate
-    # of k's class (or -1), cls[i][k] the first coordinate of its class.
-    fresh = [None] * n
-    before = [None] * n
-    cls = [None] * n
-    fresh[0], before[0], cls[0] = [True] * r, list(range(-1, r - 1)), [0] * r
-    first = order[0]
-    rem[0][0] = target[first][first]
+    # Per row i, from rows 0..i-1: tied[i][k] when coordinate k has the
+    # same history as k - 1, and fresh[i] the first coordinate of the
+    # all-zero suffix.
+    tied = [[False] + [True] * (r - 1)] + [None] * (n - 1)
+    fresh = [0] * n
+    rem[0][0] = target[0][0]
     x[0][0] = isqrt(rem[0][0]) + 1
     nodes = i = k = 0
     while True:
@@ -128,7 +134,7 @@ def _search(target: list[list[int]], order: list[int], r: int, budget: Budget):
         ahead = []
         for j, need in enumerate(needs[i][k]):
             need -= v * x[j][k]
-            if need * need > left * suffix[j][k + 1]:
+            if need * need > left * rem[j][k + 1]:
                 break
             ahead.append(need)
         else:
@@ -139,31 +145,21 @@ def _search(target: list[list[int]], order: list[int], r: int, budget: Budget):
             elif i + 1 == n:
                 return x, nodes, True
             else:
-                # Row i is done: its suffix sums, and the classes of row
-                # i + 1, which split each class of row i by x[i][k].
-                done, total = x[i], 0
-                suffix[i] = s = [0] * (r + 1)
-                for c in range(r - 1, -1, -1):
-                    total += done[c] * done[c]
-                    s[c] = total
-                fresh[i + 1] = [f and not d for f, d in zip(fresh[i], done)]
-                before[i + 1] = b = [-1] * r
-                cls[i + 1] = split = list(range(r))
-                last: dict[tuple[int, int], int] = {}
-                for c, key in enumerate(zip(cls[i], done)):
-                    if key in last:
-                        b[c] = last[key]
-                        split[c] = split[b[c]]
-                    last[key] = c
+                # Row i is done: a run stays tied where its values repeat,
+                # and the all-zero suffix loses its leading nonzero entries.
+                done, f = x[i], fresh[i]
+                tied[i + 1] = [False] + [
+                    t and a == b for t, a, b in zip(tied[i][1:], done[1:], done)]
+                while f < r and done[f]:
+                    f += 1
+                fresh[i + 1] = f
                 i, k = i + 1, 0
-                row = order[i]
-                left = target[row][row]
-                ahead = [target[row][order[j]] for j in range(i)]
+                left, ahead = target[i][i], target[i][:i]
             rem[i][k], needs[i][k] = left, ahead
             top = hi = isqrt(left)
-            if before[i][k] >= 0 and x[i][before[i][k]] < hi:
-                hi = x[i][before[i][k]]
-            low[i][k] = 0 if fresh[i][k] else -top
+            if tied[i][k] and x[i][k - 1] < hi:
+                hi = x[i][k - 1]
+            low[i][k] = 0 if k >= fresh[i] else -top
             x[i][k] = hi + 1
 
 
@@ -195,9 +191,9 @@ def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
         return EmbeddingOutcome(
             embeddable=True, witness=(), nodes=0, millis=0, completed=True)
 
-    target = [[-v for v in row] for row in q.entries]
-    order = sorted(range(q.rank), key=lambda i: (-target[i][i], i))
-    rows, nodes, completed = _search(target, order, r, limits)
+    order = sorted(range(q.rank), key=lambda i: (q.entries[i][i], i))
+    target = [[-q.entries[a][b] for b in order] for a in order]
+    rows, nodes, completed = _search(target, r, limits)
     millis = int((time.monotonic() - started) * 1000)
     if rows is None:
         return EmbeddingOutcome(

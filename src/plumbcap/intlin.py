@@ -59,19 +59,11 @@ class GramMatrix:
             labels = tuple(str(i) for i in range(len(entries)))
         return cls(rank=len(entries), labels=tuple(labels), entries=entries)
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.rank))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "labels": list(self.labels),
-            "gram": [list(row) for row in self.entries],
-        }
-
 
 def gram_to_json(q: GramMatrix) -> str:
-    return json.dumps(q.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    """The JSON document gram_from_json reads back."""
+    doc = {"rank": q.rank, "labels": list(q.labels), "gram": [list(row) for row in q.entries]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def gram_from_json(text: str) -> GramMatrix:
@@ -80,7 +72,10 @@ def gram_from_json(text: str) -> GramMatrix:
     ``rank`` and every entry must be JSON integers (not floats or
     booleans), ``labels`` a list of strings, and the matrix symmetric.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("gram JSON is nested too deeply") from exc
     try:
         rank = doc["rank"]
         labels = doc["labels"]
@@ -222,7 +217,8 @@ def wu_classes(q: GramMatrix) -> list[WuClass]:
                 acc ^= bits[col]
                 rest &= rest - 1
             bits[pcol] = acc
-        assert _satisfies_wu(q, bits)
+        if not _satisfies_wu(q, bits):
+            raise RuntimeError("Wu class solver produced a vector that does not verify")
         solutions.append(tuple(bits))
     solutions.sort()
     return [WuClass(coefficients=s) for s in solutions]

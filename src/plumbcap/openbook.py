@@ -83,23 +83,3 @@ def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
     return OpenBookDescription(
         holes=tuple(holes), boundary_curves=boundary, edge_curves=tuple(edge_curves))
 
-
-def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:
-    """Twist curves separating ``hole`` from the ``outer`` hole.
-
-    This counts curves whose hole set contains exactly one of the two, and
-    equals (tree distance between the owners) + 2: the two parallel circles
-    plus one edge curve per path edge.  The dual string owned by the same
-    vertex as ``hole`` is framed by exactly minus this number.
-    """
-    if hole == outer:
-        raise ValueError("need two distinct holes")
-    known = {h for h, _ in ob.holes}
-    if hole not in known or outer not in known:
-        raise KeyError("unknown hole id")
-    crossed = 0
-    for curve in ob.curves:
-        inside = (hole in curve.holes) + (outer in curve.holes)
-        if inside == 1:
-            crossed += 1
-    return crossed

@@ -5,7 +5,8 @@ determinants by the permutation sum instead of elimination, definiteness
 by explicit leading minors, Wu classes by exhaustive enumeration, and the
 dual Gram matrix by counting twist boxes on the open book page rather
 than by shared root paths, and embeddings by enumerating every row with
-no symmetry reduction.
+no symmetry reduction.  ``curves_crossed`` reads string framings off the
+open book page, for comparison with the dual configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import isqrt
 
 from plumbcap.embedder import EmbeddingOutcome
 from plumbcap.intlin import GramMatrix
-from plumbcap.openbook import build_open_book
+from plumbcap.openbook import OpenBookDescription, build_open_book
 from plumbcap.plumbing import PlumbingGraph, validate
 
 
@@ -88,6 +89,27 @@ def box_model_dual_gram(graph: PlumbingGraph, root: int) -> list[list[int]]:
             shared = sum(1 for box in boxes if a in box and b in box)
             rows[i][j] = rows[j][i] = -shared
     return rows
+
+
+def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:
+    """Twist curves separating ``hole`` from the ``outer`` hole.
+
+    This counts curves whose hole set contains exactly one of the two, and
+    equals (tree distance between the owners) + 2: the two parallel circles
+    plus one edge curve per path edge.  The dual string owned by the same
+    vertex as ``hole`` is framed by exactly minus this number.
+    """
+    if hole == outer:
+        raise ValueError("need two distinct holes")
+    known = {h for h, _ in ob.holes}
+    if hole not in known or outer not in known:
+        raise KeyError("unknown hole id")
+    crossed = 0
+    for curve in ob.curves:
+        inside = (hole in curve.holes) + (outer in curve.holes)
+        if inside == 1:
+            crossed += 1
+    return crossed
 
 
 def random_valid_tree(rng: random.Random, max_vertices: int = 8) -> PlumbingGraph:

@@ -132,6 +132,8 @@ def test_enumeration_order_is_pinned():
 @pytest.mark.parametrize("framing, embeddable, nodes, witness", [
     (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
     (-33, False, 2832, None),
+    (-65, False, 10784, None),
+    (-97, False, 23856, None),
 ])
 def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
     g = parse_plumbing("v 0 %d\n" % framing)

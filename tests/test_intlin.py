@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plumbcap
 from oracles import brute_wu, leibniz_det, nd_by_minors
 from plumbcap.intlin import (
     GramMatrix,
@@ -31,7 +37,7 @@ def test_gram_matrix_basic():
     q = GramMatrix.from_rows([[-2, 1], [1, -3]], labels=["a", "b"])
     assert q.rank == 2
     assert q.labels == ("a", "b")
-    assert q.diagonal() == (-2, -3)
+    assert tuple(q.entries[i][i] for i in range(q.rank)) == (-2, -3)
     assert q.entries[0][1] == 1
 
 
@@ -58,6 +64,24 @@ def test_rank_zero_conventions():
 
 def test_json_round_trip():
     q = GramMatrix.from_rows([[-2, 1], [1, -3]], labels=["u0#0", "u0#1"])
+    assert gram_from_json(gram_to_json(q)) == q
+
+
+@st.composite
+def labeled_symmetric_forms(draw):
+    """Symmetric integer forms of rank 0..6 with unique string labels."""
+    n = draw(st.integers(0, 6))
+    labels = draw(st.lists(st.text(), min_size=n, max_size=n, unique=True))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(st.integers())
+    return GramMatrix.from_rows(rows, labels=labels)
+
+
+@settings(derandomize=True, deadline=None)
+@given(labeled_symmetric_forms())
+def test_property_json_round_trip(q):
     assert gram_from_json(gram_to_json(q)) == q
 
 
@@ -131,6 +155,19 @@ def test_wu_classes_match_enumeration():
         assert got == sorted(brute_wu(rows))
         # Unique exactly when the determinant is odd.
         assert (len(got) == 1) == (determinant(q) % 2 != 0)
+
+
+def test_wu_check_survives_optimized_python():
+    # Under -O an assert would vanish and a bad Wu class would be returned.
+    script = (
+        "import plumbcap.intlin as m\n"
+        "m._satisfies_wu = lambda q, bits: False\n"
+        "print(m.wu_classes(m.GramMatrix.from_rows([[-3]])))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode != 0, proc.stdout
+    assert "RuntimeError" in proc.stderr
 
 
 def test_wu_support_labels():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oracles import random_valid_tree
+from oracles import curves_crossed, random_valid_tree
 from plumbcap.dualcap import admissible_roots, build_dual
-from plumbcap.openbook import build_open_book, curves_crossed
+from plumbcap.openbook import build_open_book
 from plumbcap.plumbing import (
     ValidationFailure,
     generate_gamma_n,

@@ -85,7 +85,7 @@ def test_serialize_is_canonical():
 def test_gram_matrix_gamma_2_literal():
     q = gram_matrix(generate_gamma_n(2))
     assert q.labels == tuple(str(i) for i in range(8))
-    assert q.diagonal() == (-4, -2, -3, -3, -3, -3, -4, -2)
+    assert tuple(q.entries[i][i] for i in range(q.rank)) == (-4, -2, -3, -3, -3, -3, -4, -2)
     expected_edges = {(0, 1), (1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (6, 7)}
     for i in range(8):
         for j in range(i + 1, 8):
@@ -98,7 +98,7 @@ def test_gram_labels_follow_vertex_ids():
     g = parse_plumbing("v 3 -2\nv 7 -3\ne 3 7\n")
     q = gram_matrix(g)
     assert q.labels == ("3", "7")
-    assert q.diagonal() == (-2, -3)
+    assert tuple(q.entries[i][i] for i in range(q.rank)) == (-2, -3)
 
 
 def test_validate_accepts_family_members():
