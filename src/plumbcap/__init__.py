@@ -27,7 +27,6 @@ from .intlin import (
     GramMatrix,
     NonUniqueSpinError,
     NotDefiniteError,
-    WuClass,
     determinant,
     first_sylvester_violation,
     gram_from_json,
@@ -84,7 +83,6 @@ __all__ = [
     "UNDECIDED",
     "ValidationFailure",
     "ValidationReport",
-    "WuClass",
     "admissible_roots",
     "build_dual",
     "build_open_book",

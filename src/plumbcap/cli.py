@@ -60,13 +60,13 @@ def _load_graph(path: str):
 
 
 def _load_gram(args) -> GramMatrix:
-    if getattr(args, "gram", False):
+    if args.gram:
         return gram_from_json(_read_text(args.file))
     return gram_matrix(_load_graph(args.file))
 
 
 def _resolve_budget(args) -> Budget | None:
-    nodes = getattr(args, "budget_nodes", None)
+    nodes = args.budget_nodes
     if nodes is None:
         raw = os.environ.get(ENV_BUDGET_NODES)
         if raw is not None and raw.strip():
@@ -175,11 +175,11 @@ def _cmd_wu(args) -> int:
     if args.json:
         _emit_json({
             "labels": list(q.labels),
-            "classes": [list(w.coefficients) for w in classes],
+            "classes": [list(w) for w in classes],
         })
         return EXIT_OK
     for w in classes:
-        support = " ".join(w.support_labels(q))
+        support = " ".join(label for label, bit in zip(q.labels, w) if bit)
         print("wu class: %s" % (support or "(empty)"))
     return EXIT_OK
 
@@ -217,14 +217,6 @@ def _cmd_gamma_n(args) -> int:
     return EXIT_OK
 
 
-def _add_json_flag(sub) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _add_file(sub, what: str) -> None:
-    sub.add_argument("file", help="%s, or - for stdin" % what)
-
-
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -233,73 +225,57 @@ def _build_parser() -> argparse.ArgumentParser:
                     "definite plumbing trees.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("validate", help="check tree, definiteness, framing bounds")
-    _add_file(sub, "graph file")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_validate)
+    # Options that several subcommands share, each declared once.
+    graph, as_json, gram, search = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    graph.add_argument("file", help="graph file, or - for stdin")
+    as_json.add_argument("--json", action="store_true", help="emit JSON")
+    gram.add_argument("--gram", action="store_true",
+                      help="input is a gram JSON file instead of a graph")
+    search.add_argument("--budget-nodes", type=int, default=None,
+                        help="node budget (default: $%s or unlimited)" % ENV_BUDGET_NODES)
+    search.add_argument("--no-timings", action="store_true",
+                        help="omit wall-clock fields from the output")
 
-    sub = commands.add_parser("gram", help="intersection form of the graph")
-    _add_file(sub, "graph file")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_gram)
+    def command(name, handler, help_text, *parents):
+        sub = commands.add_parser(name, help=help_text, parents=parents)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    sub = commands.add_parser("openbook", help="planar open book holes and twist curves")
-    _add_file(sub, "graph file")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_openbook)
+    command("validate", _cmd_validate, "check tree, definiteness, framing bounds",
+            graph, as_json)
+    command("gram", _cmd_gram, "intersection form of the graph", graph, as_json)
+    command("openbook", _cmd_openbook, "planar open book holes and twist curves",
+            graph, as_json)
 
-    sub = commands.add_parser("dual", help="dual configuration strings and gram matrix")
-    _add_file(sub, "graph file")
+    sub = command("dual", _cmd_dual, "dual configuration strings and gram matrix",
+                  graph, as_json)
     sub.add_argument("--root", type=int, default=None, help="root vertex id")
     sub.add_argument("--gram-only", action="store_true",
                      help="print only the dual gram matrix")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_dual)
 
-    sub = commands.add_parser("embed", help="search an embedding into <-1>^r")
-    _add_file(sub, "gram JSON file")
+    sub = command("embed", _cmd_embed, "search an embedding into <-1>^r",
+                  search, as_json)
+    sub.add_argument("file", help="gram JSON file, or - for stdin")
     sub.add_argument("--rank", type=int, default=None,
                      help="target rank r (default: rank of the form)")
-    sub.add_argument("--budget-nodes", type=int, default=None,
-                     help="node budget (default: $%s or unlimited)" % ENV_BUDGET_NODES)
-    sub.add_argument("--no-timings", action="store_true",
-                     help="omit wall-clock fields from the output")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_embed)
 
-    sub = commands.add_parser("wu", help="mod 2 Wu classes of the intersection form")
-    _add_file(sub, "graph file")
-    sub.add_argument("--gram", action="store_true",
-                     help="input is a gram JSON file instead of a graph")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_wu)
+    command("wu", _cmd_wu, "mod 2 Wu classes of the intersection form",
+            graph, gram, as_json)
+    command("mubar", _cmd_mubar, "mu-bar invariant (odd determinant only)",
+            graph, gram, as_json)
 
-    sub = commands.add_parser("mubar", help="mu-bar invariant (odd determinant only)")
-    _add_file(sub, "graph file")
-    sub.add_argument("--gram", action="store_true",
-                     help="input is a gram JSON file instead of a graph")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_mubar)
-
-    sub = commands.add_parser("obstruct", help="full rational homology disk obstruction")
-    _add_file(sub, "graph file")
+    sub = command("obstruct", _cmd_obstruct, "full rational homology disk obstruction",
+                  graph, search, as_json)
     roots = sub.add_mutually_exclusive_group()
     roots.add_argument("--root", type=int, default=None, help="use this root only")
     roots.add_argument("--all-roots", action="store_true",
                        help="run the search at every admissible root")
-    sub.add_argument("--budget-nodes", type=int, default=None,
-                     help="node budget (default: $%s or unlimited)" % ENV_BUDGET_NODES)
     sub.add_argument("--fail-on-inconclusive", action="store_true",
                      help="exit 1 unless the run obstructs")
-    sub.add_argument("--no-timings", action="store_true",
-                     help="omit wall-clock fields from the output")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_obstruct)
 
-    sub = commands.add_parser("gamma-n", help="emit the n-th built-in family graph")
+    sub = command("gamma-n", _cmd_gamma_n, "emit the n-th built-in family graph")
     sub.add_argument("n", type=int, help="family index, n >= 2")
-    sub.set_defaults(handler=_cmd_gamma_n)
-
     return parser
 
 
@@ -330,4 +306,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(cli_main(sys.argv[1:]))
+    main()

@@ -87,8 +87,9 @@ def choose_root(g: PlumbingGraph) -> int:
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings for the given root.
 
-    The caller is responsible for having validated ``g``; here we only need
-    it to be a connected tree and the root to be admissible.
+    Raises ValueError unless ``g`` is a connected tree, the root is
+    admissible and no vertex has -e_v - d_v < 0.  Those checks accept
+    exactly the graphs ``validate`` accepts, at any admissible root.
     """
     if root not in set(g.ids()):
         raise KeyError("no vertex %d" % root)
@@ -99,6 +100,10 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
         raise NoAdmissibleRootError(
             "root %d is not admissible: -e_v - d_v = %d at it"
             % (root, counts[root] + 1))
+    for v in g.ids():
+        if counts[v] < 0:
+            raise ValueError("vertex %d: framing smaller than valency "
+                             "(-e_v - d_v = %d)" % (v, counts[v]))
     parent, depth, order = rooted_tree(g, root)
     if len(order) != len(counts):
         raise ValueError("graph is not connected")

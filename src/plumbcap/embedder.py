@@ -62,18 +62,21 @@ class Budget:
 class EmbeddingOutcome:
     """Result of an embedding search.
 
-    ``embeddable`` is None when the search ran out of budget
-    (``completed`` False), and JSON carries it as null; otherwise the
-    verdict is final for the given target rank.  ``nodes`` counts
-    coordinate assignments explored and is deterministic; ``millis`` is
-    wall-clock and is not.
+    ``embeddable`` is derived: None when the search ran out of budget
+    (``completed`` False), and JSON carries it as null; otherwise whether
+    a witness was found, final for the given target rank.  ``nodes``
+    counts coordinate assignments explored and is deterministic;
+    ``millis`` is wall-clock and is not.
     """
 
-    embeddable: bool | None
     witness: tuple[tuple[int, ...], ...] | None
     nodes: int
     millis: int
     completed: bool
+
+    @property
+    def embeddable(self) -> bool | None:
+        return self.witness is not None if self.completed else None
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
@@ -188,8 +191,7 @@ def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
     limits = _as_budget(budget)
     started = time.monotonic()
     if q.rank == 0:
-        return EmbeddingOutcome(
-            embeddable=True, witness=(), nodes=0, millis=0, completed=True)
+        return EmbeddingOutcome(witness=(), nodes=0, millis=0, completed=True)
 
     order = sorted(range(q.rank), key=lambda i: (q.entries[i][i], i))
     target = [[-q.entries[a][b] for b in order] for a in order]
@@ -197,16 +199,14 @@ def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
     millis = int((time.monotonic() - started) * 1000)
     if rows is None:
         return EmbeddingOutcome(
-            embeddable=False if completed else None, witness=None,
-            nodes=nodes, millis=millis, completed=completed)
+            witness=None, nodes=nodes, millis=millis, completed=completed)
     witness: list[tuple[int, ...]] = [()] * q.rank
     for position, row in enumerate(order):
         witness[row] = tuple(rows[position])
     if not verify_witness(q, witness):
         raise RuntimeError("embedding search produced a witness that does not verify")
     return EmbeddingOutcome(
-        embeddable=True, witness=tuple(witness), nodes=nodes,
-        millis=millis, completed=True)
+        witness=tuple(witness), nodes=nodes, millis=millis, completed=True)
 
 
 def verify_witness(q: GramMatrix, m) -> bool:

@@ -150,19 +150,6 @@ def is_negative_definite(q: GramMatrix) -> bool:
     return first_sylvester_violation(q) is None
 
 
-@dataclass(frozen=True)
-class WuClass:
-    """A 0/1 characteristic vector: Q w = diag(Q) mod 2, coordinatewise."""
-
-    coefficients: tuple[int, ...]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coefficients) if c)
-
-    def support_labels(self, q: GramMatrix) -> tuple[str, ...]:
-        return tuple(q.labels[i] for i in self.support())
-
-
 def _satisfies_wu(q: GramMatrix, bits) -> bool:
     for i in range(q.rank):
         acc = 0
@@ -173,8 +160,9 @@ def _satisfies_wu(q: GramMatrix, bits) -> bool:
     return True
 
 
-def wu_classes(q: GramMatrix) -> list[WuClass]:
-    """All 0/1 solutions of Q w = diag(Q) over GF(2), sorted as bit tuples.
+def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
+    """All Wu classes, the 0/1 solutions of Q w = diag(Q) over GF(2), as
+    sorted bit tuples indexed like the rows of Q.
 
     The system is always solvable for a symmetric matrix, and the solution
     count is 2^(nullity of Q mod 2); it is a singleton exactly when det(Q)
@@ -221,7 +209,7 @@ def wu_classes(q: GramMatrix) -> list[WuClass]:
             raise RuntimeError("Wu class solver produced a vector that does not verify")
         solutions.append(tuple(bits))
     solutions.sort()
-    return [WuClass(coefficients=s) for s in solutions]
+    return solutions
 
 
 def mu_bar(q: GramMatrix) -> int:
@@ -237,7 +225,7 @@ def mu_bar(q: GramMatrix) -> int:
     if len(classes) != 1:
         raise NonUniqueSpinError(
             "mu_bar needs odd determinant; found %d Wu classes" % len(classes))
-    w = classes[0].coefficients
+    w = classes[0]
     wqw = 0
     for i in range(q.rank):
         if not w[i]:

@@ -31,8 +31,13 @@ class RootResult:
     """Embedding verdict for the dual configuration built at one root."""
 
     root: int
-    verdict: str
     outcome: EmbeddingOutcome
+
+    @property
+    def verdict(self) -> str:
+        if not self.outcome.completed:
+            return UNDECIDED
+        return INCONCLUSIVE if self.outcome.embeddable else OBSTRUCTED
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         return {
@@ -46,24 +51,25 @@ class RootResult:
 class ObstructionReport:
     """Everything the obstruction run established about one graph."""
 
-    vertex_count: int
-    edge_count: int
-    framings: tuple[tuple[int, int], ...]
+    graph: PlumbingGraph
     validation: ValidationReport
     det_gram: int
     dual_rank: int
     results: tuple[RootResult, ...]
-    verdict: str
     wu_support: tuple[int, ...] | None
     mu_bar: int | None
     total_millis: int
 
+    @property
+    def verdict(self) -> str:
+        return _combine([r.verdict for r in self.results])
+
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
             "graph": {
-                "vertices": self.vertex_count,
-                "edges": self.edge_count,
-                "framings": [[v, f] for v, f in self.framings],
+                "vertices": len(self.graph.vertices),
+                "edges": len(self.graph.edges),
+                "framings": [[v, f] for v, f in self.graph.vertices],
             },
             "validation": self.validation.to_json_dict(),
             "gram_determinant": self.det_gram,
@@ -78,12 +84,6 @@ class ObstructionReport:
         if include_timings:
             doc["total_millis"] = self.total_millis
         return doc
-
-
-def _root_verdict(outcome: EmbeddingOutcome) -> str:
-    if not outcome.completed:
-        return UNDECIDED
-    return INCONCLUSIVE if outcome.embeddable else OBSTRUCTED
 
 
 def _combine(verdicts: list[str]) -> str:
@@ -125,7 +125,7 @@ def qhd_obstruction(
         dual = build_dual(graph, r)
         dual_rank = dual.gram.rank
         outcome = embed_diagonal(dual.gram, dual.gram.rank, budget)
-        results.append(RootResult(r, _root_verdict(outcome), outcome))
+        results.append(RootResult(r, outcome))
 
     q = gram_matrix(graph)
     det = determinant(q)
@@ -133,18 +133,15 @@ def qhd_obstruction(
     mu = None
     if det % 2 != 0:
         unique = wu_classes(q)[0]
-        wu_support = tuple(int(label) for label in unique.support_labels(q))
+        wu_support = tuple(v for v, bit in zip(graph.ids(), unique) if bit)
         mu = mu_bar(q)
     total_millis = int((time.monotonic() - started) * 1000)
     return ObstructionReport(
-        vertex_count=len(graph.vertices),
-        edge_count=len(graph.edges),
-        framings=tuple((v, f) for v, f in graph.vertices),
+        graph=graph,
         validation=report,
         det_gram=det,
         dual_rank=dual_rank,
         results=tuple(results),
-        verdict=_combine([r.verdict for r in results]),
         wu_support=wu_support,
         mu_bar=mu,
         total_millis=total_millis,
@@ -154,7 +151,8 @@ def qhd_obstruction(
 def render_report(report: ObstructionReport, include_timings: bool = True) -> str:
     """Plain-text rendering of an obstruction report."""
     lines = [
-        "graph: %d vertices, %d edges" % (report.vertex_count, report.edge_count),
+        "graph: %d vertices, %d edges" % (
+            len(report.graph.vertices), len(report.graph.edges)),
         "validation: %s" % report.validation.describe(),
         "intersection form determinant: %d" % report.det_gram,
         "dual configuration rank: %d" % report.dual_rank,

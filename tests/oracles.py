@@ -195,5 +195,4 @@ def naive_embed_oracle(q: GramMatrix, r: int) -> EmbeddingOutcome:
     millis = int((time.monotonic() - started) * 1000)
     witness = tuple(placed) if found else None
     return EmbeddingOutcome(
-        embeddable=found, witness=witness, nodes=nodes,
-        millis=millis, completed=True)
+        witness=witness, nodes=nodes, millis=millis, completed=True)

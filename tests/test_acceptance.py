@@ -153,7 +153,7 @@ def test_criterion_4_wu_class_and_mu_bar():
         q = gram_matrix(generate_gamma_n(n))
         classes = wu_classes(q)
         assert len(classes) == 1, n
-        support = set(int(v) for v in classes[0].support_labels(q))
+        support = {int(q.labels[i]) for i, bit in enumerate(classes[0]) if bit}
         assert support == {3, 6} | set(range(8, n + 6, 2)), n
         assert mu_bar(q) == 0, n
     note("criterion 4 PASS: odd n in {7,9,11} have the expected Wu support and mu-bar 0")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import box_model_dual_gram, nd_by_minors, random_valid_tree
 from plumbcap.dualcap import (
@@ -11,7 +13,7 @@ from plumbcap.dualcap import (
     string_counts,
 )
 from plumbcap.intlin import is_negative_definite
-from plumbcap.plumbing import PlumbingGraph, generate_gamma_n, parse_plumbing
+from plumbcap.plumbing import PlumbingGraph, generate_gamma_n, parse_plumbing, validate
 
 
 def test_string_counts_gamma_7():
@@ -187,6 +189,27 @@ def test_build_dual_error_paths():
         edges=((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ValueError):
         build_dual(loop, 0)
+
+
+@st.composite
+def small_trees(draw):
+    """Trees on 1..6 vertices with framings in [-6, 2], valid or not."""
+    n = draw(st.integers(1, 6))
+    edges = tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    vertices = tuple((v, draw(st.integers(-6, 2))) for v in range(n))
+    return PlumbingGraph(vertices=vertices, edges=edges)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_trees())
+def test_property_dual_builds_exactly_for_valid_trees(g):
+    try:
+        build_dual(g, choose_root(g))
+    except ValueError:
+        built = False
+    else:
+        built = True
+    assert built == validate(g).all_ok
 
 
 def test_dual_json_shape():

