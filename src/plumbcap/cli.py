@@ -164,6 +164,11 @@ def _cmd_embed(args) -> int:
             print("embeddable into <-1>^%d (%d nodes)" % (rank, outcome.nodes))
             for row in outcome.witness:
                 print("  " + " ".join(str(v) for v in row))
+        elif outcome.certificate == "rank":
+            print("not embeddable into <-1>^%d: the form has rank %d" % (rank, q.rank))
+        elif outcome.certificate == "determinant":
+            print("not embeddable into <-1>^%d: determinant %d is not a square"
+                  % (rank, outcome.determinant))
         else:
             print("not embeddable into <-1>^%d (%d nodes)" % (rank, outcome.nodes))
     return EXIT_OK if outcome.completed else EXIT_BUDGET

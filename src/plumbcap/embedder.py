@@ -34,6 +34,13 @@ enumerator visits.
 
 The enumeration order is fixed, so the verdict, the node count and the
 witness are all reproducible run to run.
+
+Two certificates decide without a search.  At a target rank below the
+form's rank nothing embeds, since M M^T has rank at most r.  At the form's
+own rank M is square, so det(-Q) = det(M)^2: when |det Q| is not a
+perfect square nothing embeds either.  The determinant is the last minor
+of the definiteness scan, so this certificate costs one integer square
+root.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .intlin import GramMatrix, NotDefiniteError, is_negative_definite
+from . import intlin
+from .intlin import GramMatrix, NotDefiniteError
 
 
 @dataclass(frozen=True)
@@ -66,13 +74,18 @@ class EmbeddingOutcome:
     (``completed`` False), and JSON carries it as null; otherwise whether
     a witness was found, final for the given target rank.  ``nodes``
     counts coordinate assignments explored and is deterministic;
-    ``millis`` is wall-clock and is not.
+    ``millis`` is wall-clock and is not.  ``certificate`` names what
+    ruled the embedding out without a search, "rank" or "determinant",
+    and is None when the search decided; with "determinant",
+    ``determinant`` is the |det Q| that is not a perfect square.
     """
 
     witness: tuple[tuple[int, ...], ...] | None
     nodes: int
     millis: int
     completed: bool
+    certificate: str | None = None
+    determinant: int | None = None
 
     @property
     def embeddable(self) -> bool | None:
@@ -86,6 +99,10 @@ class EmbeddingOutcome:
         }
         if self.witness is not None:
             doc["witness"] = [list(row) for row in self.witness]
+        if self.certificate is not None:
+            doc["certificate"] = self.certificate
+        if self.determinant is not None:
+            doc["determinant"] = self.determinant
         if include_timings:
             doc["millis"] = self.millis
         return doc
@@ -176,25 +193,43 @@ def _as_budget(budget) -> Budget:
     raise TypeError("budget must be None, an int node limit, or a Budget")
 
 
+def _search_order(q: GramMatrix) -> tuple[list[int], list[list[int]]]:
+    """The rows of Q by decreasing norm |Q[i][i]|, lowest index on ties,
+    and -Q with rows and columns in that order: what _search takes."""
+    order = sorted(range(q.rank), key=lambda i: (q.entries[i][i], i))
+    return order, [[-q.entries[a][b] for b in order] for a in order]
+
+
 def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
     """Decide whether Q embeds into the rank-r diagonal lattice <-1>^r.
 
     Q must be negative definite (checked; NotDefiniteError otherwise) and
     r >= 0.  With an exhausted budget the outcome has completed=False and
     no verdict; otherwise the decision is complete, and a positive verdict
-    carries a witness already re-checked by verify_witness.
+    carries a witness already re-checked by verify_witness.  A rank or
+    determinant certificate decides before the search, so before the
+    budget applies, with 0 nodes.
     """
     if r < 0:
         raise ValueError("target rank must be nonnegative")
-    if not is_negative_definite(q):
+    minors: list[int] = []
+    # Through the module, as plumbing.validate does, so that a wrapper on
+    # intlin.first_sylvester_violation sees this scan too.
+    if intlin.first_sylvester_violation(q, minors) is not None:
         raise NotDefiniteError("embedding search needs a negative definite form")
     limits = _as_budget(budget)
     started = time.monotonic()
     if q.rank == 0:
         return EmbeddingOutcome(witness=(), nodes=0, millis=0, completed=True)
+    if r < q.rank:
+        return EmbeddingOutcome(
+            witness=None, nodes=0, millis=0, completed=True, certificate="rank")
+    det = abs(minors[-1])
+    if r == q.rank and isqrt(det) ** 2 != det:
+        return EmbeddingOutcome(witness=None, nodes=0, millis=0, completed=True,
+                                certificate="determinant", determinant=det)
 
-    order = sorted(range(q.rank), key=lambda i: (q.entries[i][i], i))
-    target = [[-q.entries[a][b] for b in order] for a in order]
+    order, target = _search_order(q)
     rows, nodes, completed = _search(target, r, limits)
     millis = int((time.monotonic() - started) * 1000)
     if rows is None:

@@ -132,14 +132,18 @@ def determinant(q: GramMatrix) -> int:
     return det
 
 
-def first_sylvester_violation(q: GramMatrix) -> int | None:
+def first_sylvester_violation(q: GramMatrix, minors: list[int] | None = None) -> int | None:
     """The smallest k (1-based) whose leading k x k minor breaks the
     alternating-sign test for negative definiteness, or None.
 
     A zero minor counts as a violation (definite forms have none), so the
-    scan stops before elimination would ever swap rows.
+    scan stops before elimination would ever swap rows.  When ``minors``
+    is a list, every leading minor scanned is appended to it; after a scan
+    that finds no violation its last entry is det Q.
     """
     for k, minor in enumerate(_pivots(q)):
+        if minors is not None:
+            minors.append(minor)
         if minor == 0 or (minor < 0) != (k % 2 == 0):
             return k + 1
     return None
@@ -166,7 +170,9 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
 
     The system is always solvable for a symmetric matrix, and the solution
     count is 2^(nullity of Q mod 2); it is a singleton exactly when det(Q)
-    is odd.
+    is odd.  The solutions are a particular one p plus the span of a
+    kernel basis b_1, b_2, ...; since the system is linear, checking p and
+    every p + b_i checks every class.
     """
     n = q.rank
     # Row-reduce [mask | rhs] with rows as bitmasks.
@@ -188,28 +194,27 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
             # diag(Q) always lies in the GF(2) column space of symmetric Q
             raise AssertionError("inconsistent characteristic-vector system")
     reduced.sort()
-    pivot_cols = [pcol for pcol, _, _ in reduced]
-    free_cols = [k for k in range(n) if k not in pivot_cols]
+    pivot_cols = {pcol for pcol, _, _ in reduced}
 
-    solutions = []
-    for assignment in range(1 << len(free_cols)):
-        bits = [0] * n
-        for idx, col in enumerate(free_cols):
-            bits[col] = (assignment >> idx) & 1
-        # Back-substitute, highest pivot first.
+    def solve(free: int) -> int:
+        # Back-substitute, highest pivot first, from the free bits given.
+        bits = free
         for pcol, pmask, prhs in reversed(reduced):
-            acc = prhs
-            rest = pmask & ~(1 << pcol)
-            while rest:
-                col = (rest & -rest).bit_length() - 1
-                acc ^= bits[col]
-                rest &= rest - 1
-            bits[pcol] = acc
-        if not _satisfies_wu(q, bits):
+            bits |= (prhs ^ ((pmask & bits).bit_count() & 1)) << pcol
+        return bits
+
+    def as_tuple(bits: int) -> tuple[int, ...]:
+        return tuple((bits >> k) & 1 for k in range(n))
+
+    # p, then p + b_i for the free column i of each basis vector b_i.
+    checked = [solve(0)] + [solve(1 << col) for col in range(n) if col not in pivot_cols]
+    for bits in checked:
+        if not _satisfies_wu(q, as_tuple(bits)):
             raise RuntimeError("Wu class solver produced a vector that does not verify")
-        solutions.append(tuple(bits))
-    solutions.sort()
-    return solutions
+    classes = checked[:1]
+    for bits in checked[1:]:
+        classes += [c ^ bits ^ checked[0] for c in classes]
+    return sorted(map(as_tuple, classes))
 
 
 def mu_bar(q: GramMatrix) -> int:

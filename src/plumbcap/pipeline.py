@@ -2,9 +2,11 @@
 
 Validates a plumbing graph, builds the dual configuration at one or more
 roots, and runs the diagonal-lattice embedding search at the dual rank.
-A completed search with no embedding obstructs a rational homology disk
-filling; an embedding found means the test is silent (it never certifies
-existence); an exhausted budget leaves the question undecided.
+A completed search with no embedding, or a dual determinant that is not a
+perfect square (which the search checks first), obstructs a rational
+homology disk filling; an embedding found means the test is silent (it
+never certifies existence); an exhausted budget leaves the question
+undecided.
 
 When the intersection form has odd determinant the report also carries
 the unique Wu class and the mu-bar invariant, which gives the fastest way
@@ -161,7 +163,10 @@ def render_report(report: ObstructionReport, include_timings: bool = True) -> st
         timing = ""
         if include_timings:
             timing = ", %d ms" % result.outcome.millis
-        if result.verdict == OBSTRUCTED:
+        if result.outcome.certificate == "determinant":
+            text = "no embedding into <-1>^%d: determinant %d is not a square" % (
+                report.dual_rank, result.outcome.determinant)
+        elif result.verdict == OBSTRUCTED:
             text = "no embedding into <-1>^%d (%d nodes%s)" % (
                 report.dual_rank, result.outcome.nodes, timing)
         elif result.verdict == INCONCLUSIVE:

@@ -146,6 +146,16 @@ def test_embed_default_rank_is_form_rank(tmp_path, capsys):
     assert "not embeddable into <-1>^2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rank, line", [
+    (2, "not embeddable into <-1>^2: determinant 3 is not a square\n"),
+    (1, "not embeddable into <-1>^1: the form has rank 2\n"),
+])
+def test_embed_prints_certificates(tmp_path, capsys, rank, line):
+    path = write(tmp_path, "a2.json", A2_JSON)
+    assert cli_main(["embed", path, "--rank", str(rank), "--budget-nodes", "0"]) == 0
+    assert capsys.readouterr().out == line
+
+
 def test_embed_budget_exits_4(tmp_path, capsys):
     gram = build_dual(generate_gamma_n(7), 2).gram
     path = write(tmp_path, "dual.json", gram_to_json(gram))
@@ -219,6 +229,14 @@ def test_obstruct_verdict_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["obstruct", obstructed, "--fail-on-inconclusive"]) == 0
     capsys.readouterr()
+
+
+def test_obstruct_prints_determinant_certificate(tmp_path, capsys):
+    path = write(tmp_path, "g.txt", "v 0 -33\n")
+    assert cli_main(["obstruct", path]) == 0
+    out = capsys.readouterr().out
+    assert "root 0: no embedding into <-1>^32: determinant 33 is not a square\n" in out
+    assert "verdict: obstructed" in out
 
 
 def test_obstruct_budget_exits_4(tmp_path, capsys):

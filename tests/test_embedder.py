@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 import plumbcap
 from oracles import naive_embed_oracle, random_valid_tree
 from plumbcap.dualcap import admissible_roots, build_dual, choose_root
-from plumbcap.embedder import Budget, embed_diagonal, verify_witness
+from plumbcap.embedder import Budget, _search, _search_order, embed_diagonal, verify_witness
 from plumbcap.intlin import GramMatrix, NotDefiniteError, is_negative_definite
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
 
 A2 = GramMatrix.from_rows([[-2, 1], [1, -2]])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_single_minus_one_embeds_in_its_own_rank():
@@ -129,6 +131,11 @@ def test_enumeration_order_is_pinned():
     )
 
 
+def single_vertex_dual(framing):
+    g = parse_plumbing("v 0 %d\n" % framing)
+    return build_dual(g, choose_root(g)).gram
+
+
 @pytest.mark.parametrize("framing, embeddable, nodes, witness", [
     (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
     (-33, False, 2832, None),
@@ -136,11 +143,59 @@ def test_enumeration_order_is_pinned():
     (-97, False, 23856, None),
 ])
 def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
-    g = parse_plumbing("v 0 %d\n" % framing)
-    q = build_dual(g, choose_root(g)).gram
+    # The enumerator itself, on the target embed_diagonal would search.
+    q = single_vertex_dual(framing)
+    order, target = _search_order(q)
+    rows, searched, completed = _search(target, q.rank, Budget())
+    assert completed is True
+    assert (rows is not None, searched) == (embeddable, nodes)
+    if witness is not None:
+        assert tuple(tuple(rows[order.index(i)]) for i in range(q.rank)) == witness
+
+
+@pytest.mark.parametrize("framing, embeddable, nodes, witness, certificate", [
+    (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1)), None),
+    (-33, False, 0, None, "determinant"),
+    (-65, False, 0, None, "determinant"),
+    (-97, False, 0, None, "determinant"),
+])
+def test_single_vertex_dual_outcomes(framing, embeddable, nodes, witness, certificate):
+    q = single_vertex_dual(framing)
     outcome = embed_diagonal(q, q.rank, None)
-    assert (outcome.embeddable, outcome.nodes, outcome.witness) == (
-        embeddable, nodes, witness)
+    assert (outcome.embeddable, outcome.nodes, outcome.witness, outcome.certificate) == (
+        embeddable, nodes, witness, certificate)
+
+
+def test_certificates_decide_before_the_budget():
+    q = build_dual(generate_gamma_n(7), 2).gram
+    below = embed_diagonal(q, q.rank - 1, Budget(max_nodes=0))
+    assert (below.embeddable, below.nodes, below.certificate) == (False, 0, "rank")
+    square = single_vertex_dual(-33)
+    outcome = embed_diagonal(square, square.rank, Budget(max_nodes=0))
+    assert (outcome.embeddable, outcome.nodes, outcome.certificate,
+            outcome.determinant) == (False, 0, "determinant", 33)
+    # A square determinant leaves the decision to the search.
+    assert embed_diagonal(q, q.rank, Budget(max_nodes=0)).completed is False
+
+
+def test_determinant_certificate_never_contradicts_the_search():
+    duals = [single_vertex_dual(-n) for n in range(1, 34, 2)]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        g = random_valid_tree(rng)
+        for root in admissible_roots(g):
+            q = build_dual(g, root).gram
+            if q.rank <= 14:
+                duals.append(q)
+    fired = 0
+    for q in duals:
+        if embed_diagonal(q, q.rank, None).certificate is None:
+            continue
+        fired += 1
+        order, target = _search_order(q)
+        rows, _, completed = _search(target, q.rank, Budget())
+        assert completed is True and rows is None, q.entries
+    assert fired > len(duals) // 2
 
 
 def test_deterministic_node_counts():
@@ -165,11 +220,34 @@ def test_outcome_json_shape():
     doc = failed.to_json_dict()
     assert doc["embeddable"] is False
     assert "witness" not in doc
+    assert doc["certificate"] == "determinant" and doc["determinant"] == 3
 
     undecided = embed_diagonal(
         build_dual(generate_gamma_n(7), 2).gram, 14, Budget(max_nodes=10))
     doc = undecided.to_json_dict()
     assert doc["embeddable"] is None and doc["completed"] is False
+
+
+def test_readme_names_every_outcome_key():
+    text = README.read_text()
+    start = text.index("Embedding outcomes are JSON objects")
+    paragraph = text[start:text.index("\n\n", start)]
+    gamma_7 = build_dual(generate_gamma_n(7), 2).gram
+    cases = {
+        "witness": embed_diagonal(A2, 3, None),
+        "no witness": embed_diagonal(GramMatrix.from_rows([[-3, 2], [2, -3]]), 3, None),
+        "undecided": embed_diagonal(gamma_7, 14, Budget(max_nodes=10)),
+        "determinant": embed_diagonal(A2, 2, None),
+        "rank": embed_diagonal(A2, 1, None),
+    }
+    assert [o.embeddable for o in cases.values()] == [True, False, None, False, False]
+    assert [o.certificate for o in cases.values()] == [None, None, None, "determinant", "rank"]
+    keys = set()
+    for outcome in cases.values():
+        for timings in (True, False):
+            keys |= set(outcome.to_json_dict(include_timings=timings))
+    assert {"witness", "millis", "certificate", "determinant"} <= keys
+    assert sorted(k for k in keys if "`%s`" % k not in paragraph) == []
 
 
 def test_witness_check_survives_optimized_python():
