@@ -18,7 +18,6 @@ from .dualcap import (
     string_counts,
 )
 from .embedder import (
-    Budget,
     EmbeddingOutcome,
     embed_diagonal,
     verify_witness,
@@ -64,7 +63,6 @@ from .plumbing import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Budget",
     "DualConfiguration",
     "DualString",
     "EmbeddingOutcome",

@@ -24,7 +24,7 @@ import sys
 
 from . import pipeline
 from .dualcap import build_dual, choose_root
-from .embedder import Budget, embed_diagonal
+from .embedder import embed_diagonal
 from .intlin import GramMatrix, gram_from_json, gram_to_json, mu_bar, wu_classes
 from .openbook import build_open_book
 from .plumbing import (
@@ -65,7 +65,7 @@ def _load_gram(args) -> GramMatrix:
     return gram_matrix(_load_graph(args.file))
 
 
-def _resolve_budget(args) -> Budget | None:
+def _resolve_budget(args) -> int | None:
     nodes = args.budget_nodes
     if nodes is None:
         raw = os.environ.get(ENV_BUDGET_NODES)
@@ -75,11 +75,9 @@ def _resolve_budget(args) -> Budget | None:
             except ValueError:
                 raise _UsageError(
                     "%s must be an integer, got %r" % (ENV_BUDGET_NODES, raw))
-    if nodes is None:
-        return None
-    if nodes < 0:
+    if nodes is not None and nodes < 0:
         raise _UsageError("node budget must be nonnegative")
-    return Budget(max_nodes=nodes)
+    return nodes
 
 
 def _emit_json(doc: dict) -> None:

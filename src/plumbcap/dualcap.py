@@ -1,21 +1,32 @@
 """The dual configuration lattice of a plumbing tree.
 
 Pick a root vertex v with -e_v - d_v > 0.  Every vertex u contributes
--e_u - d_u braid strings (one fewer at the root); a string owned by u gets
-framing -dist(u, v) - 2, and two strings link by -1 minus the number of
-edges their root paths share.  One global full negative twist accounts for
-the -1; each tree edge contributes a further full twist whose box holds
-exactly the strings separated from the root by that edge, which is where
-the shared-path count comes from.
+-e_u - d_u braid strings (one fewer at the root).  The braid is one global
+full negative twist of all strings, plus one more full twist per non-root
+vertex w: the twist box of the edge from w to its parent, which holds the
+strings owned in w's subtree.  Those boxes are the open book's edge
+curves, and ``twist_boxes`` lists, for each vertex, the boxes its strings
+pass through: the non-root vertices on its root path.
 
-The Gram matrix assembled from those framings and linkings is the
-intersection lattice the embedding obstruction is tested against.
+So the dual is -Q = I + B B^T.  B has one all-ones column f_root and one
+column f_w per non-root w, marking the strings in w's subtree.  A string
+owned by u gets framing -dist(u, v) - 2, and two strings link by -1 minus
+the number of boxes they share.
+
+I + B B^T is positive definite, so every dual is negative definite.  Its
+determinant is det(I + B^T B), a V x V determinant.  The unimodular change
+of basis g_u = f_u - sum over the children c of u of f_c turns B into the
+columns that mark each vertex's own strings, and I + B^T B into exactly
+-Q_T, the tree's negated intersection form: the identity becomes -1 per
+tree edge and 1 + (children of u) on the diagonal, which the count of u's
+own strings, -e_u - d_u (one less at the root), tops up to -e_u.  Hence
+|det Q_dual| = |det Q_T| at every admissible root, and the pipeline reads
+the dual's determinant off the tree form instead of eliminating the dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from . import intlin
 from .plumbing import PlumbingGraph, rooted_tree
@@ -84,6 +95,18 @@ def choose_root(g: PlumbingGraph) -> int:
     return best_vertex
 
 
+def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
+    """Each vertex reachable from ``root`` with the twist boxes around its
+    strings: the non-root vertices on its root path.  The box of w is the
+    edge curve between w and its parent, which encloses the holes owned
+    in w's subtree."""
+    parent, _, order = rooted_tree(g, root)
+    boxes = {root: frozenset()}
+    for v in order[1:]:
+        boxes[v] = boxes[parent[v]] | {v}
+    return boxes
+
+
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings for the given root.
 
@@ -104,25 +127,13 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
         if counts[v] < 0:
             raise ValueError("vertex %d: framing smaller than valency "
                              "(-e_v - d_v = %d)" % (v, counts[v]))
-    parent, depth, order = rooted_tree(g, root)
-    if len(order) != len(counts):
+    boxes = twist_boxes(g, root)
+    if len(boxes) != len(counts):
         raise ValueError("graph is not connected")
-
-    @cache
-    def shared(u: int, v: int) -> int:
-        """Edges common to the root paths of u and v: the depth of their
-        lowest common ancestor."""
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return depth[u]
 
     strings: list[DualString] = []
     for vid in g.ids():
-        dist = depth[vid]
+        dist = len(boxes[vid])
         for k in range(counts[vid]):
             strings.append(DualString(
                 label="u%d#%d" % (vid, k),
@@ -131,12 +142,12 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
                 framing=-dist - 2,
             ))
 
-    rank = len(strings)
-    rows = [[0] * rank for _ in range(rank)]
-    for i, s in enumerate(strings):
-        rows[i][i] = s.framing
-        for j in range(i + 1, rank):
-            rows[i][j] = rows[j][i] = -1 - shared(s.vertex, strings[j].vertex)
+    # Q[i][j] = -delta_ij - 1 - |boxes(u_i) & boxes(u_j)|, one row per owner.
+    owners = [s.vertex for s in strings]
+    linking = {u: [-1 - len(boxes[u] & boxes[w]) for w in owners] for u in set(owners)}
+    rows = [list(linking[u]) for u in owners]
+    for i, row in enumerate(rows):
+        row[i] -= 1
     gram = intlin.GramMatrix.from_rows(rows, labels=[s.label for s in strings])
     return DualConfiguration(root=root, strings=tuple(strings), gram=gram)
 

@@ -38,9 +38,11 @@ witness are all reproducible run to run.
 Two certificates decide without a search.  At a target rank below the
 form's rank nothing embeds, since M M^T has rank at most r.  At the form's
 own rank M is square, so det(-Q) = det(M)^2: when |det Q| is not a
-perfect square nothing embeds either.  The determinant is the last minor
-of the definiteness scan, so this certificate costs one integer square
-root.
+perfect square nothing embeds either.  A caller that knows |det Q|
+passes it in: the pipeline's duals are negative definite by construction
+and share the tree form's |det| (see ``dualcap``), so it skips the O(r^3)
+definiteness scan.  Otherwise the determinant is the last minor of that
+scan, and either way the certificate costs one integer square root.
 """
 
 from __future__ import annotations
@@ -51,19 +53,6 @@ from math import isqrt
 
 from . import intlin
 from .intlin import GramMatrix, NotDefiniteError
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Limits for the search; None means unlimited.
-
-    ``max_nodes`` bounds the number of coordinate assignments explored,
-    ``max_millis`` the wall-clock time.  Library callers pass a Budget (or
-    a plain int, meaning max_nodes, or None for explicitly unlimited).
-    """
-
-    max_nodes: int | None = None
-    max_millis: int | None = None
 
 
 @dataclass(frozen=True)
@@ -108,20 +97,17 @@ class EmbeddingOutcome:
         return doc
 
 
-def _search(target: list[list[int]], r: int, budget: Budget):
+def _search(target: list[list[int]], r: int, max_nodes: int | None):
     """Walk positions (i, k), coordinate k of row i, depth first.
 
     ``target`` is the negated form with its rows already in search order.
     Returns (rows, nodes, completed): the placed rows, or None when no
-    embedding exists or the budget ran out first.
+    embedding exists or more than ``max_nodes`` nodes (None: no limit)
+    were needed.
     """
     n = len(target)
     if r == 0:
         return None, 0, True
-    max_nodes = budget.max_nodes
-    deadline = None
-    if budget.max_millis is not None:
-        deadline = time.monotonic() + budget.max_millis / 1000.0
     x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
     low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
     rem = [[0] * (r + 1) for _ in range(n)]  # norm left for coordinates k.. of row i, 0 at r
@@ -146,8 +132,6 @@ def _search(target: list[list[int]], r: int, budget: Budget):
             continue
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            return None, nodes, False
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             return None, nodes, False
         x[i][k] = v
         left = rem[i][k] - v * v
@@ -183,16 +167,6 @@ def _search(target: list[list[int]], r: int, budget: Budget):
             x[i][k] = hi + 1
 
 
-def _as_budget(budget) -> Budget:
-    if budget is None:
-        return Budget()
-    if isinstance(budget, Budget):
-        return budget
-    if isinstance(budget, int):
-        return Budget(max_nodes=budget)
-    raise TypeError("budget must be None, an int node limit, or a Budget")
-
-
 def _search_order(q: GramMatrix) -> tuple[list[int], list[list[int]]]:
     """The rows of Q by decreasing norm |Q[i][i]|, lowest index on ties,
     and -Q with rows and columns in that order: what _search takes."""
@@ -200,37 +174,43 @@ def _search_order(q: GramMatrix) -> tuple[list[int], list[list[int]]]:
     return order, [[-q.entries[a][b] for b in order] for a in order]
 
 
-def embed_diagonal(q: GramMatrix, r: int, budget) -> EmbeddingOutcome:
+def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
+                   determinant: int | None = None) -> EmbeddingOutcome:
     """Decide whether Q embeds into the rank-r diagonal lattice <-1>^r.
 
-    Q must be negative definite (checked; NotDefiniteError otherwise) and
-    r >= 0.  With an exhausted budget the outcome has completed=False and
-    no verdict; otherwise the decision is complete, and a positive verdict
-    carries a witness already re-checked by verify_witness.  A rank or
-    determinant certificate decides before the search, so before the
-    budget applies, with 0 nodes.
+    ``budget`` caps the nodes searched (None: no cap); r >= 0.  Q must be
+    negative definite.  Without ``determinant`` that is checked
+    (NotDefiniteError otherwise) by the O(r^3) scan that also yields
+    |det Q|; a caller that passes ``determinant`` vouches for both it and
+    definiteness, and no scan runs.  With an exhausted budget the outcome
+    has completed=False and no verdict; otherwise the decision is
+    complete, and a positive verdict carries a witness already re-checked
+    by verify_witness.  A rank or determinant certificate decides before
+    the search, so before the budget applies, with 0 nodes.
     """
     if r < 0:
         raise ValueError("target rank must be nonnegative")
-    minors: list[int] = []
-    # Through the module, as plumbing.validate does, so that a wrapper on
-    # intlin.first_sylvester_violation sees this scan too.
-    if intlin.first_sylvester_violation(q, minors) is not None:
-        raise NotDefiniteError("embedding search needs a negative definite form")
-    limits = _as_budget(budget)
+    if budget is not None and not isinstance(budget, int):
+        raise TypeError("budget must be None or an int node limit")
+    if determinant is None:
+        minors = [1]  # so that rank 0 has determinant 1
+        # Through the module, as plumbing.validate does, so that a wrapper
+        # on intlin.first_sylvester_violation sees this scan too.
+        if intlin.first_sylvester_violation(q, minors) is not None:
+            raise NotDefiniteError("embedding search needs a negative definite form")
+        determinant = abs(minors[-1])
     started = time.monotonic()
     if q.rank == 0:
         return EmbeddingOutcome(witness=(), nodes=0, millis=0, completed=True)
     if r < q.rank:
         return EmbeddingOutcome(
             witness=None, nodes=0, millis=0, completed=True, certificate="rank")
-    det = abs(minors[-1])
-    if r == q.rank and isqrt(det) ** 2 != det:
+    if r == q.rank and isqrt(determinant) ** 2 != determinant:
         return EmbeddingOutcome(witness=None, nodes=0, millis=0, completed=True,
-                                certificate="determinant", determinant=det)
+                                certificate="determinant", determinant=determinant)
 
     order, target = _search_order(q)
-    rows, nodes, completed = _search(target, r, limits)
+    rows, nodes, completed = _search(target, r, budget)
     millis = int((time.monotonic() - started) * 1000)
     if rows is None:
         return EmbeddingOutcome(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dualcap
-from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
+from .plumbing import PlumbingGraph, ValidationFailure, validate
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,15 @@ def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
 
     boundary = tuple(TwistCurve(kind="boundary", holes=(h,)) for h, _ in holes)
 
-    # Rooted at the canonical dual root (validity guarantees one), the far
-    # side of an edge is the subtree below its child endpoint.
-    parent, _, order = rooted_tree(g, dualcap.choose_root(g))
-    below: dict[int, list[int]] = {v: [] for v in order}
-    for h, owner in holes:
-        below[owner].append(h)
-    for v in reversed(order):
-        if parent[v] is not None:
-            below[parent[v]] += below[v]
+    # The far side of an edge from the canonical dual root (validity
+    # guarantees one) is the subtree of its endpoint with more boxes.
+    boxes = dualcap.twist_boxes(g, dualcap.choose_root(g))
     edge_curves = []
     for a, b in g.edges:
-        child = b if parent[b] == a else a
-        edge_curves.append(TwistCurve(kind="edge", holes=tuple(sorted(below[child])), edge=(a, b)))
+        child = max(a, b, key=lambda v: len(boxes[v]))
+        edge_curves.append(TwistCurve(
+            kind="edge", holes=tuple(h for h, owner in holes if child in boxes[owner]),
+            edge=(a, b)))
 
     return OpenBookDescription(
         holes=tuple(holes), boundary_curves=boundary, edge_curves=tuple(edge_curves))

@@ -2,11 +2,13 @@
 
 Validates a plumbing graph, builds the dual configuration at one or more
 roots, and runs the diagonal-lattice embedding search at the dual rank.
-A completed search with no embedding, or a dual determinant that is not a
-perfect square (which the search checks first), obstructs a rational
-homology disk filling; an embedding found means the test is silent (it
-never certifies existence); an exhausted budget leaves the question
-undecided.
+Every dual is negative definite with |det| equal to the tree form's (see
+``dualcap``), so the tree's determinant, computed once, serves every root
+and no dual is eliminated.  A completed search with no embedding, or a
+dual determinant that is not a perfect square (which the search checks
+first), obstructs a rational homology disk filling; an embedding found
+means the test is silent (it never certifies existence); an exhausted
+budget leaves the question undecided.
 
 When the intersection form has odd determinant the report also carries
 the unique Wu class and the mu-bar invariant, which gives the fastest way
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .dualcap import admissible_roots, build_dual, choose_root
-from .embedder import Budget, EmbeddingOutcome, embed_diagonal
+from .embedder import EmbeddingOutcome, embed_diagonal
 from .intlin import determinant, mu_bar, wu_classes
 from .plumbing import PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix, validate
 
@@ -100,7 +102,7 @@ def qhd_obstruction(
     graph: PlumbingGraph,
     root: int | None = None,
     all_roots: bool = False,
-    budget: Budget | int | None = None,
+    budget: int | None = None,
 ) -> ObstructionReport:
     """Run the full obstruction test on a validated plumbing graph.
 
@@ -121,16 +123,16 @@ def qhd_obstruction(
     else:
         roots = [choose_root(graph)]
 
+    q = gram_matrix(graph)
+    det = determinant(q)
     results = []
     dual_rank = 0
     for r in roots:
         dual = build_dual(graph, r)
         dual_rank = dual.gram.rank
-        outcome = embed_diagonal(dual.gram, dual.gram.rank, budget)
+        outcome = embed_diagonal(dual.gram, dual.gram.rank, budget, determinant=abs(det))
         results.append(RootResult(r, outcome))
 
-    q = gram_matrix(graph)
-    det = determinant(q)
     wu_support = None
     mu = None
     if det % 2 != 0:

@@ -12,8 +12,14 @@ from plumbcap.dualcap import (
     choose_root,
     string_counts,
 )
-from plumbcap.intlin import is_negative_definite
-from plumbcap.plumbing import PlumbingGraph, generate_gamma_n, parse_plumbing, validate
+from plumbcap.intlin import determinant, is_negative_definite
+from plumbcap.plumbing import (
+    PlumbingGraph,
+    generate_gamma_n,
+    gram_matrix,
+    parse_plumbing,
+    validate,
+)
 
 
 def test_string_counts_gamma_7():
@@ -176,6 +182,22 @@ def test_dual_gram_negative_definite():
         else:
             assert is_negative_definite(q)
     assert small >= 5
+
+
+def test_dual_determinant_is_the_tree_determinant():
+    # det(I + B B^T) = det(I + B^T B), and I + B^T B is congruent to -Q_T
+    # (dualcap's docstring); the pipeline takes each dual's |det| from this.
+    graphs = [generate_gamma_n(n) for n in range(2, 13)]
+    graphs += [parse_plumbing("v 0 -%d\n" % n) for n in (2, 3, 4, 5, 9, 17, 33, 65)]
+    rng = random.Random(20261020)
+    graphs += [random_valid_tree(rng) for _ in range(200)]
+    duals = 0
+    for g in graphs:
+        expected = abs(determinant(gram_matrix(g)))
+        for root in admissible_roots(g):
+            assert abs(determinant(build_dual(g, root).gram)) == expected, (g, root)
+            duals += 1
+    assert duals > len(graphs)
 
 
 def test_build_dual_error_paths():

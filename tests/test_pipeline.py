@@ -2,7 +2,8 @@ from math import gcd
 
 import pytest
 
-from plumbcap.embedder import Budget, verify_witness
+import plumbcap.intlin
+from plumbcap.embedder import verify_witness
 from plumbcap.intlin import GramMatrix
 from plumbcap.pipeline import (
     INCONCLUSIVE,
@@ -64,9 +65,27 @@ def test_explicit_root_is_used():
 
 def test_all_roots_runs_every_admissible_root():
     g = generate_gamma_n(2)
-    report = qhd_obstruction(g, all_roots=True, budget=Budget(max_nodes=4000))
+    report = qhd_obstruction(g, all_roots=True, budget=4000)
     assert [r.root for r in report.results] == [0, 4, 5, 6, 7]
     assert report.dual_rank == 9
+
+
+def test_obstruct_never_scans_a_dual(monkeypatch):
+    # Every dual is definite with the tree's |det| by construction, so the
+    # only Sylvester scans left run on the tree form itself.
+    scanned = []
+    scan = plumbcap.intlin.first_sylvester_violation
+
+    def recording(q, *args, **kwargs):
+        scanned.append(q.rank)
+        return scan(q, *args, **kwargs)
+
+    monkeypatch.setattr(plumbcap.intlin, "first_sylvester_violation", recording)
+    for g in (generate_gamma_n(5), parse_plumbing("v 0 -33\n")):
+        scanned.clear()
+        report = qhd_obstruction(g, all_roots=True)
+        assert report.dual_rank != len(g.vertices)  # a dual scan would show
+        assert scanned and set(scanned) == {len(g.vertices)}
 
 
 def test_budget_exhaustion_is_undecided():
