@@ -100,7 +100,7 @@ def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
     strings: the non-root vertices on its root path.  The box of w is the
     edge curve between w and its parent, which encloses the holes owned
     in w's subtree."""
-    parent, _, order = rooted_tree(g, root)
+    parent, order = rooted_tree(g, root)
     boxes = {root: frozenset()}
     for v in order[1:]:
         boxes[v] = boxes[parent[v]] | {v}

@@ -7,7 +7,8 @@ The search is exhaustive: an "embeddable" verdict always carries a witness,
 and a completed "not embeddable" verdict means no embedding exists at all.
 
 Rows are assigned one at a time, most constrained (largest |Q[i][i]|)
-first, and each row coordinate by coordinate, values high to low, with
+first, and each row but a twin row (below) coordinate by coordinate,
+values high to low, with
 exact norm and inner-product constraints pruned by Cauchy-Schwarz against
 every previously placed row.  The search is one loop over positions
 (i, k), coordinate k of the i-th placed row, with flat per-position state
@@ -31,6 +32,39 @@ per row marks where it starts.  Canonicalizing each row against the
 subgroup that fixes the placed rows pointwise keeps the reduction sound
 *and* complete: any embedding can be rewritten step by step into one the
 enumerator visits.
+
+Twin rows are placed whole.  In search order, row i is a twin of row
+i - 1 when the two have equal norms, equal pairings with every other row,
+and pair with each other to one less than their norm, as two strings of
+one vertex do.  Swapping them is an automorphism of Q, and their
+difference has norm 2, so x[i] = x[i-1] - e_p + s e_q with p < q and
+s = +-1: fixing the sign of e_p to -1 is the lex-leader cut
+x[i] <lex x[i-1] under the swap.  The norm asks x[i-1][p] - s x[i-1][q]
+= 1, and the pairing with each row j < i - 1 asks x[j][p] = s x[j][q],
+so columns p and q share their history up to the sign s.  A nonzero
+history starts with a positive value (untouched coordinates are
+nonnegative), so s = -1 needs two untouched columns; there x[i-1] is
+nonnegative and non-increasing, so x[i-1][p] = 1 and x[i-1][q] = 0, and
+x[i][q] = -1 would break the untouched suffix.  With s = +1, p and q lie
+in one run, x[i-1] steps down by exactly one from p to q, and x[i] swaps
+the two values; x[i] is non-increasing on the runs of rows 0..i-1 only
+when p is the last coordinate of its value and q = p + 1.  So the
+candidates are the steps of one inside a run, listed when the search
+enters row i and tried highest p first, which is decreasing lex order;
+each candidate tried is one node.  (Inside a run x[i-1] never steps up,
+so the runs alone already keep every twin row below its twin.)
+
+This is exact.  The coordinate walk tries rows in decreasing lex order,
+so its first witness is the row-major lex-max embedding L over all
+embeddings: L is the largest of its orbit under signed column
+permutations, hence in the canonical form above.  Swapping twins i - 1
+and i of L gives another embedding, no larger, so L keeps the twin
+order, and every row of an embedding that keeps the runs, the untouched
+suffix and the twin order is a candidate.  L is therefore still the first witness, a
+search without one still covers every canonical embedding, and node
+counts can only fall: the walk spends at least one node on every
+complete row it reaches.  Twins are detected inside the search, after
+the certificates below, so a certified form pays nothing for them.
 
 The enumeration order is fixed, so the verdict, the node count and the
 witness are all reproducible run to run.
@@ -62,7 +96,8 @@ class EmbeddingOutcome:
     ``embeddable`` is derived: None when the search ran out of budget
     (``completed`` False), and JSON carries it as null; otherwise whether
     a witness was found, final for the given target rank.  ``nodes``
-    counts coordinate assignments explored and is deterministic;
+    counts what the search tried, a coordinate value, or a whole twin
+    row, and is deterministic;
     ``millis`` is wall-clock and is not.  ``certificate`` names what
     ruled the embedding out without a search, "rank" or "determinant",
     and is None when the search decided; with "determinant",
@@ -98,7 +133,8 @@ class EmbeddingOutcome:
 
 
 def _search(target: list[list[int]], r: int, max_nodes: int | None):
-    """Walk positions (i, k), coordinate k of row i, depth first.
+    """Walk positions (i, k), coordinate k of row i, depth first; a twin
+    row takes one position per candidate instead.
 
     ``target`` is the negated form with its rows already in search order.
     Returns (rows, nodes, completed): the placed rows, or None when no
@@ -108,19 +144,65 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
     n = len(target)
     if r == 0:
         return None, 0, True
+    # Row i is a twin of row i - 1: equal norms, equal pairings with every
+    # other row, and pairing with each other one less than the norm.
+    twin = [False] + [
+        a[i] == b[i - 1] == a[i - 1] + 1 and a[:i - 1] == b[:i - 1] and a[i + 1:] == b[i + 1:]
+        for i, a, b in zip(range(1, n), target[1:], target)]
     x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
     low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
     rem = [[0] * (r + 1) for _ in range(n)]  # norm left for coordinates k.. of row i, 0 at r
     needs = [[()] * r for _ in range(n)]     # inner products left with rows 0..i-1
+    swaps: list[list[int]] = [[] for _ in range(n)]  # twin row i: swaps p <-> p + 1 left
     # Per row i, from rows 0..i-1: tied[i][k] when coordinate k has the
     # same history as k - 1, and fresh[i] the first coordinate of the
     # all-zero suffix.
     tied = [[False] + [True] * (r - 1)] + [None] * (n - 1)
     fresh = [0] * n
+
+    def begin(i: int, done: list[int]) -> None:
+        """Set up row i once row i - 1 is placed as ``done``."""
+        # A run stays tied where its values repeat, and the all-zero
+        # suffix loses its leading nonzero entries.
+        tied[i] = [False] + [t and a == b for t, a, b in zip(tied[i - 1][1:], done[1:], done)]
+        f = fresh[i - 1]
+        while f < r and done[f]:
+            f += 1
+        fresh[i] = f
+        if twin[i]:
+            # A twin row swaps a step of one inside a run (see the module
+            # docstring); pop() takes the highest p, the lex-largest row.
+            swaps[i] = [p for p in range(r - 1)
+                        if tied[i - 1][p + 1] and done[p] - done[p + 1] == 1]
+            return
+        left = rem[i][0] = target[i][i]
+        needs[i][0] = target[i][:i]
+        top = isqrt(left)
+        low[i][0] = 0 if fresh[i] == 0 else -top
+        x[i][0] = top + 1
+
     rem[0][0] = target[0][0]
     x[0][0] = isqrt(rem[0][0]) + 1
     nodes = i = k = 0
     while True:
+        if twin[i]:
+            if not swaps[i]:
+                i, k = i - 1, r - 1
+                continue
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                return None, nodes, False
+            p = swaps[i].pop()
+            done, rest = x[i - 1][:], rem[i - 1][:]
+            done[p], done[p + 1] = done[p + 1], done[p]
+            # Only the squares from p + 1 on change: x[i - 1][p] moved there.
+            rest[p + 1] += done[p + 1] ** 2 - done[p] ** 2
+            x[i], rem[i] = done, rest
+            if i + 1 == n:
+                return x, nodes, True
+            i, k = i + 1, 0
+            begin(i, done)
+            continue
         v = x[i][k] - 1
         if v < low[i][k]:
             if k:
@@ -149,16 +231,9 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
             elif i + 1 == n:
                 return x, nodes, True
             else:
-                # Row i is done: a run stays tied where its values repeat,
-                # and the all-zero suffix loses its leading nonzero entries.
-                done, f = x[i], fresh[i]
-                tied[i + 1] = [False] + [
-                    t and a == b for t, a, b in zip(tied[i][1:], done[1:], done)]
-                while f < r and done[f]:
-                    f += 1
-                fresh[i + 1] = f
                 i, k = i + 1, 0
-                left, ahead = target[i][i], target[i][:i]
+                begin(i, x[i - 1])
+                continue
             rem[i][k], needs[i][k] = left, ahead
             top = hi = isqrt(left)
             if tied[i][k] and x[i][k - 1] < hi:

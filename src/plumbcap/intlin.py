@@ -46,15 +46,14 @@ class GramMatrix:
         for row in self.entries:
             if len(row) != self.rank:
                 raise ValueError("entries must be square")
-        for i in range(self.rank):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(
-                        "matrix is not symmetric at (%d, %d)" % (i, j))
+        if self.entries != tuple(zip(*self.entries)):
+            i, j = next((i, j) for i in range(self.rank) for j in range(i)
+                        if self.entries[i][j] != self.entries[j][i])
+            raise ValueError("matrix is not symmetric at (%d, %d)" % (i, j))
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "GramMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(int, row)) for row in rows)
         if labels is None:
             labels = tuple(str(i) for i in range(len(entries)))
         return cls(rank=len(entries), labels=tuple(labels), entries=entries)
@@ -217,20 +216,23 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
     return sorted(map(as_tuple, classes))
 
 
-def mu_bar(q: GramMatrix) -> int:
+def mu_bar(q: GramMatrix, w: tuple[int, ...] | None = None) -> int:
     """Signature minus w^T Q w for the unique 0/1 Wu class w.
 
     For a negative definite form the signature is -rank.  Raises
     NotDefiniteError unless Q is negative definite, and NonUniqueSpinError
-    when det(Q) is even (two or more Wu classes, no canonical choice).
+    when det(Q) is even (two or more Wu classes, no canonical choice).  A
+    caller that passes ``w`` vouches that Q is negative definite and that
+    w is its only Wu class, and neither check runs.
     """
-    if not is_negative_definite(q):
-        raise NotDefiniteError("mu_bar needs a negative definite form")
-    classes = wu_classes(q)
-    if len(classes) != 1:
-        raise NonUniqueSpinError(
-            "mu_bar needs odd determinant; found %d Wu classes" % len(classes))
-    w = classes[0]
+    if w is None:
+        if not is_negative_definite(q):
+            raise NotDefiniteError("mu_bar needs a negative definite form")
+        classes = wu_classes(q)
+        if len(classes) != 1:
+            raise NonUniqueSpinError(
+                "mu_bar needs odd determinant; found %d Wu classes" % len(classes))
+        w = classes[0]
     wqw = 0
     for i in range(q.rank):
         if not w[i]:

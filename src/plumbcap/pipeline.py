@@ -3,16 +3,19 @@
 Validates a plumbing graph, builds the dual configuration at one or more
 roots, and runs the diagonal-lattice embedding search at the dual rank.
 Every dual is negative definite with |det| equal to the tree form's (see
-``dualcap``), so the tree's determinant, computed once, serves every root
-and no dual is eliminated.  A completed search with no embedding, or a
-dual determinant that is not a perfect square (which the search checks
+``dualcap``), so the tree's determinant serves every root and no dual is
+eliminated.  The tree form itself is built and eliminated once: its
+determinant is the last leading minor of the definiteness scan in
+``validate``.  A completed search with no embedding, or a dual
+determinant that is not a perfect square (which the search checks
 first), obstructs a rational homology disk filling; an embedding found
 means the test is silent (it never certifies existence); an exhausted
 budget leaves the question undecided.
 
 When the intersection form has odd determinant the report also carries
-the unique Wu class and the mu-bar invariant, which gives the fastest way
-to cross-check a run against independently known values.
+the unique Wu class and the mu-bar invariant computed from it, which
+gives the fastest way to cross-check a run against independently known
+values.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 
 from .dualcap import admissible_roots, build_dual, choose_root
 from .embedder import EmbeddingOutcome, embed_diagonal
+# determinant is not called here, but bench/tracing.py wraps the
+# pipeline's functions by name, this one included.
 from .intlin import determinant, mu_bar, wu_classes
 from .plumbing import PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix, validate
 
@@ -112,7 +117,9 @@ def qhd_obstruction(
     the graph is not a negative definite tree with reduced fundamental
     cycle; the failure carries the validation report.
     """
-    report = validate(graph)
+    q = gram_matrix(graph)
+    minors: list[int] = []
+    report = validate(graph, q, minors)
     if not report.all_ok:
         raise ValidationFailure(report)
     started = time.monotonic()
@@ -123,8 +130,7 @@ def qhd_obstruction(
     else:
         roots = [choose_root(graph)]
 
-    q = gram_matrix(graph)
-    det = determinant(q)
+    det = minors[-1]  # the last leading minor of a definite form
     results = []
     dual_rank = 0
     for r in roots:
@@ -138,7 +144,7 @@ def qhd_obstruction(
     if det % 2 != 0:
         unique = wu_classes(q)[0]
         wu_support = tuple(v for v, bit in zip(graph.ids(), unique) if bit)
-        mu = mu_bar(q)
+        mu = mu_bar(q, unique)
     total_millis = int((time.monotonic() - started) * 1000)
     return ObstructionReport(
         graph=graph,

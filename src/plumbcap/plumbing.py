@@ -200,30 +200,26 @@ def gram_matrix(g: PlumbingGraph) -> intlin.GramMatrix:
     return intlin.GramMatrix.from_rows(rows, labels=[str(v) for v in ids])
 
 
-def rooted_tree(g: PlumbingGraph, root: int) -> tuple[
-        dict[int, int | None], dict[int, int], list[int]]:
-    """Breadth-first walk from ``root``: ``(parent, depth, order)``.
+def rooted_tree(g: PlumbingGraph, root: int) -> tuple[dict[int, int | None], list[int]]:
+    """Breadth-first walk from ``root``: ``(parent, order)``.
 
     ``order`` lists the vertices reachable from ``root`` in visiting order,
-    so each comes after its parent; ``parent[root]`` is None.  On a tree
-    ``depth`` is the distance to the root, and the edges shared by the root
-    paths of u and v number depth[lowest common ancestor].  Raises KeyError
-    for an unknown root.
+    so each comes after its parent; ``parent[root]`` is None.  Raises
+    KeyError for an unknown root.
     """
     adj = g.adjacency()
     parent: dict[int, int | None] = {root: None}
-    depth = {root: 0}
     order = [root]
     for v in order:
         for w in adj[v]:
-            if w not in depth:
+            if w not in parent:
                 parent[w] = v
-                depth[w] = depth[v] + 1
                 order.append(w)
-    return parent, depth, order
+    return parent, order
 
 
-def validate(g: PlumbingGraph) -> ValidationReport:
+def validate(g: PlumbingGraph, q: intlin.GramMatrix | None = None,
+             minors: list[int] | None = None) -> ValidationReport:
     """Check tree-ness, negative definiteness and |framing| >= valency.
 
     ``offending_vertices`` always explains a failure: reduced-cycle
@@ -232,15 +228,21 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     graph, every vertex outside the component of the lowest id; for a
     connected graph with a cycle, the endpoints of the first removable
     edge.
+
+    A caller that needs the intersection form too passes ``q``, which
+    must be gram_matrix(g), so that it is built once.  When ``minors`` is
+    a list the definiteness scan appends its leading minors to it, as
+    first_sylvester_violation does: for a negative definite form the last
+    is det Q.
     """
     ids = g.ids()
-    offenders = set(ids).difference(rooted_tree(g, ids[0])[2])
+    offenders = set(ids).difference(rooted_tree(g, ids[0])[1])
     connected = not offenders
     is_tree = connected and len(g.edges) == len(ids) - 1
     if connected and not is_tree:
         for edge in g.edges:
             rest = replace(g, edges=tuple(e for e in g.edges if e != edge))
-            if len(rooted_tree(rest, ids[0])[2]) == len(ids):
+            if len(rooted_tree(rest, ids[0])[1]) == len(ids):
                 offenders.update(edge)
                 break
 
@@ -249,8 +251,9 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     rfc_bad = [v for v in ids if abs(framings[v]) < len(adj[v])]
     offenders.update(rfc_bad)
 
-    q = gram_matrix(g)
-    violation = intlin.first_sylvester_violation(q)
+    if q is None:
+        q = gram_matrix(g)
+    violation = intlin.first_sylvester_violation(q, minors)
     negative_definite = violation is None
     if violation is not None:
         offenders.add(ids[violation - 1])

@@ -6,7 +6,9 @@ by explicit leading minors, Wu classes by exhaustive enumeration, and the
 dual Gram matrix by counting twist boxes on the open book page rather
 than by shared root paths, and embeddings by enumerating every row with
 no symmetry reduction.  ``curves_crossed`` reads string framings off the
-open book page, for comparison with the dual configuration.
+open book page, for comparison with the dual configuration,
+``tree_distances`` counts edges by relaxing them until nothing changes,
+and ``dense_search`` is the embedding search without twin rows.
 """
 
 from __future__ import annotations
@@ -112,6 +114,21 @@ def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:
     return crossed
 
 
+def tree_distances(graph: PlumbingGraph, source: int) -> dict[int, int]:
+    """Edges from ``source`` to every vertex it reaches, by relaxing the
+    edge list until no distance shrinks (no breadth-first walk)."""
+    dist = {source: 0}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in graph.edges:
+            for u, v in ((a, b), (b, a)):
+                if u in dist and dist[u] + 1 < dist.get(v, len(graph.vertices)):
+                    dist[v] = dist[u] + 1
+                    changed = True
+    return dist
+
+
 def random_valid_tree(rng: random.Random, max_vertices: int = 8) -> PlumbingGraph:
     """A random tree passing validation, framings in [-6, -1].
 
@@ -196,3 +213,78 @@ def naive_embed_oracle(q: GramMatrix, r: int) -> EmbeddingOutcome:
     witness = tuple(placed) if found else None
     return EmbeddingOutcome(
         witness=witness, nodes=nodes, millis=millis, completed=True)
+
+
+def dense_search(target: list[list[int]], r: int, max_nodes: int | None):
+    """The embedding search with every row walked coordinate by coordinate:
+    ``embedder._search`` as it was before twin rows, kept as a reference.
+    Same arguments and results; its first witness is the same row-major
+    lex-max embedding, found through at least as many nodes.
+
+    Walk positions (i, k), coordinate k of row i, depth first.
+
+    ``target`` is the negated form with its rows already in search order.
+    Returns (rows, nodes, completed): the placed rows, or None when no
+    embedding exists or more than ``max_nodes`` nodes (None: no limit)
+    were needed.
+    """
+    n = len(target)
+    if r == 0:
+        return None, 0, True
+    x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
+    low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
+    rem = [[0] * (r + 1) for _ in range(n)]  # norm left for coordinates k.. of row i, 0 at r
+    needs = [[()] * r for _ in range(n)]     # inner products left with rows 0..i-1
+    # Per row i, from rows 0..i-1: tied[i][k] when coordinate k has the
+    # same history as k - 1, and fresh[i] the first coordinate of the
+    # all-zero suffix.
+    tied = [[False] + [True] * (r - 1)] + [None] * (n - 1)
+    fresh = [0] * n
+    rem[0][0] = target[0][0]
+    x[0][0] = isqrt(rem[0][0]) + 1
+    nodes = i = k = 0
+    while True:
+        v = x[i][k] - 1
+        if v < low[i][k]:
+            if k:
+                k -= 1
+            elif i:
+                i, k = i - 1, r - 1
+            else:
+                return None, nodes, True
+            continue
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            return None, nodes, False
+        x[i][k] = v
+        left = rem[i][k] - v * v
+        ahead = []
+        for j, need in enumerate(needs[i][k]):
+            need -= v * x[j][k]
+            if need * need > left * rem[j][k + 1]:
+                break
+            ahead.append(need)
+        else:
+            if k + 1 < r:
+                k += 1
+            elif left:
+                continue
+            elif i + 1 == n:
+                return x, nodes, True
+            else:
+                # Row i is done: a run stays tied where its values repeat,
+                # and the all-zero suffix loses its leading nonzero entries.
+                done, f = x[i], fresh[i]
+                tied[i + 1] = [False] + [
+                    t and a == b for t, a, b in zip(tied[i][1:], done[1:], done)]
+                while f < r and done[f]:
+                    f += 1
+                fresh[i + 1] = f
+                i, k = i + 1, 0
+                left, ahead = target[i][i], target[i][:i]
+            rem[i][k], needs[i][k] = left, ahead
+            top = hi = isqrt(left)
+            if tied[i][k] and x[i][k - 1] < hi:
+                hi = x[i][k - 1]
+            low[i][k] = 0 if k >= fresh[i] else -top
+            x[i][k] = hi + 1

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plumbcap
-from oracles import naive_embed_oracle, random_valid_tree
+from oracles import dense_search, naive_embed_oracle, random_valid_tree
 from plumbcap.dualcap import admissible_roots, build_dual, choose_root
 from plumbcap.embedder import _search, _search_order, embed_diagonal, verify_witness
 from plumbcap.intlin import GramMatrix, NotDefiniteError, is_negative_definite
@@ -106,7 +106,7 @@ def test_enumeration_order_is_pinned():
     # The gamma-2 witness README prints: rows in order, values high to low.
     q = build_dual(generate_gamma_n(2), 0).gram
     outcome = embed_diagonal(q, q.rank, None)
-    assert outcome.nodes == 1751
+    assert outcome.nodes == 1153
     assert outcome.witness == (
         (0, 0, 1, 0, 0, 0, 0, 1, 0),
         (0, 0, 1, 0, 0, 0, 0, 0, 1),
@@ -126,10 +126,10 @@ def single_vertex_dual(framing):
 
 
 @pytest.mark.parametrize("framing, embeddable, nodes, witness", [
-    (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
-    (-33, False, 2832, None),
-    (-65, False, 10784, None),
-    (-97, False, 23856, None),
+    (-4, True, 5, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    (-33, False, 126, None),
+    (-65, False, 254, None),
+    (-97, False, 382, None),
 ])
 def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
     # The enumerator itself, on the target embed_diagonal would search.
@@ -143,7 +143,7 @@ def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
 
 
 @pytest.mark.parametrize("framing, embeddable, nodes, witness, certificate", [
-    (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1)), None),
+    (-4, True, 5, ((1, 1, 0), (1, 0, 1), (0, 1, 1)), None),
     (-33, False, 0, None, "determinant"),
     (-65, False, 0, None, "determinant"),
     (-97, False, 0, None, "determinant"),
@@ -185,6 +185,39 @@ def test_determinant_certificate_never_contradicts_the_search():
         rows, _, completed = _search(target, q.rank, None)
         assert completed is True and rows is None, q.entries
     assert fired > len(duals) // 2
+
+
+def test_twin_rows_keep_the_dense_witness():
+    # Placing twin rows whole finds the coordinate walk's first witness,
+    # the row-major lex-max embedding, through no more nodes.
+    duals = [build_dual(generate_gamma_n(n), root).gram
+             for n in range(2, 7) for root in admissible_roots(generate_gamma_n(n))]
+    duals += [single_vertex_dual(-n) for n in range(2, 66)]
+    # Two -2 leaves own one string each: rows equal outside the pair, but
+    # pairing with each other to the norm minus two, so not twins.
+    for n in range(3, 12):
+        g = parse_plumbing("v 0 -%d\nv 1 -2\nv 2 -2\ne 0 1\ne 0 2\n" % n)
+        duals += [build_dual(g, root).gram for root in admissible_roots(g)]
+    rng = random.Random(20261022)
+    for _ in range(100):
+        g = random_valid_tree(rng, max_vertices=6)
+        duals += [build_dual(g, root).gram for root in admissible_roots(g)]
+    saved = 0
+    for q in filter(lambda q: q.rank, duals):
+        order, target = _search_order(q)
+        rows, dense_nodes, completed = dense_search(target, q.rank, None)
+        assert completed is True
+        outcome = embed_diagonal(q, q.rank, None)
+        witness = rows and tuple(tuple(rows[order.index(i)]) for i in range(q.rank))
+        assert outcome.witness == witness, q.entries
+        nodes = outcome.nodes
+        if outcome.certificate is not None:
+            # The search itself, which the certificate skipped.
+            mine, nodes, completed = _search(target, q.rank, None)
+            assert (mine, completed) == (None, True), q.entries
+        assert nodes <= dense_nodes, q.entries
+        saved += dense_nodes - nodes
+    assert saved > 0
 
 
 def test_deterministic_node_counts():
@@ -371,6 +404,36 @@ def small_definite_forms(draw):
 @settings(derandomize=True, deadline=None)
 @given(small_definite_forms(), st.integers(0, 4))
 def test_property_matches_oracle(q, r):
+    mine = embed_diagonal(q, r, None)
+    assert mine.completed is True
+    assert mine.embeddable == naive_embed_oracle(q, r).embeddable
+    if mine.embeddable:
+        assert verify_witness(q, mine.witness)
+
+
+@st.composite
+def forms_with_a_twin_pair(draw):
+    """Negative definite forms within the oracle's guards in which row
+    a + 1 repeats row a, pairing with it to the norm minus one: a twin."""
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = -draw(st.integers(1, 6))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    a = draw(st.integers(0, n - 1))
+    rows = [row[:a + 1] + row[a:] for row in rows]
+    rows.insert(a + 1, list(rows[a]))
+    rows[a][a + 1] = rows[a + 1][a] = rows[a][a] + 1
+    q = GramMatrix.from_rows(rows)
+    assume(is_negative_definite(q))
+    return q
+
+
+@settings(derandomize=True, deadline=None)
+@given(forms_with_a_twin_pair(), st.data())
+def test_property_twin_pairs_match_oracle(q, data):
+    r = data.draw(st.integers(q.rank, 4))
     mine = embed_diagonal(q, r, None)
     assert mine.completed is True
     assert mine.embeddable == naive_embed_oracle(q, r).embeddable

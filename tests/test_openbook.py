@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from oracles import curves_crossed, random_valid_tree
+from oracles import curves_crossed, random_valid_tree, tree_distances
 from plumbcap.dualcap import admissible_roots, build_dual
 from plumbcap.openbook import build_open_book
 from plumbcap.plumbing import (
     ValidationFailure,
     generate_gamma_n,
     parse_plumbing,
-    rooted_tree,
 )
 
 
@@ -88,7 +87,7 @@ def test_chain_end_hole_is_separated_by_n_edge_curves():
         separating = [c for c in book.edge_curves
                       if (end_hole in c.holes) != (center in c.holes)]
         assert len(separating) == n
-        assert len(separating) == rooted_tree(g, 2)[1][n + 5]
+        assert len(separating) == tree_distances(g, 2)[n + 5]
 
 
 def test_open_book_requires_valid_graph():
@@ -111,7 +110,7 @@ def test_curves_crossed_is_distance_plus_two():
     book = build_open_book(g)
     owner = dict(book.holes)
     holes = [h for h, _ in book.holes]
-    depth = {v: rooted_tree(g, v)[1] for v in g.ids()}
+    depth = {v: tree_distances(g, v) for v in g.ids()}
     for i, a in enumerate(holes):
         for b in holes[i + 1:]:
             u, v = owner[a], owner[b]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import nd_by_minors, random_valid_tree
+from oracles import nd_by_minors, random_valid_tree, tree_distances
 from plumbcap.plumbing import (
     GraphFormatError,
     PlumbingGraph,
@@ -206,19 +206,20 @@ def test_generate_gamma_2_has_single_chain_vertex():
 
 def test_vertex_distance():
     g = generate_gamma_n(7)
-    parent, depth, order = rooted_tree(g, 2)
+    parent, order = rooted_tree(g, 2)
+    depth = tree_distances(g, 2)
     assert order[0] == 2 and parent[2] is None
     assert depth[2] == 0
     assert depth[0] == 2
     assert depth[12] == 7
-    assert rooted_tree(g, 0)[1][4] == 4
+    assert tree_distances(g, 0)[4] == 4
     assert all(depth[parent[v]] == depth[v] - 1 for v in order[1:])
     assert all(order.index(parent[v]) < order.index(v) for v in order[1:])
     with pytest.raises(KeyError):
         rooted_tree(g, 99)
     # A walk reaches only its own component.
     disconnected = PlumbingGraph(vertices=((0, -2), (1, -2)), edges=())
-    assert rooted_tree(disconnected, 0) == ({0: None}, {0: 0}, [0])
+    assert rooted_tree(disconnected, 0) == ({0: None}, [0])
 
 
 def test_vertex_distance_is_additive_along_tree_paths():
@@ -226,7 +227,7 @@ def test_vertex_distance_is_additive_along_tree_paths():
     # the triangle inequality an equality.
     g = generate_gamma_n(5)
     ids = g.ids()
-    dist = {a: rooted_tree(g, a)[1] for a in ids}
+    dist = {a: tree_distances(g, a) for a in ids}
     for a in ids:
         for c in ids:
             whole = dist[a][c]
