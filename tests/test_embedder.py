@@ -126,12 +126,31 @@ def single_vertex_dual(framing):
 
 
 @pytest.mark.parametrize("framing, embeddable, nodes, witness", [
+    (-4, True, 17, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    (-33, False, 2832, None),
+    (-65, False, 10784, None),
+    (-97, False, 23856, None),
+])
+def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
+    # The coordinate walk kept as a reference: the counts the enumerator
+    # had before twin rows, which test_twin_rows_keep_the_dense_witness
+    # bounds the enumerator by.
+    q = single_vertex_dual(framing)
+    order, target = _search_order(q)
+    rows, searched, completed = dense_search(target, q.rank, None)
+    assert completed is True
+    assert (rows is not None, searched) == (embeddable, nodes)
+    if witness is not None:
+        assert tuple(tuple(rows[order.index(i)]) for i in range(q.rank)) == witness
+
+
+@pytest.mark.parametrize("framing, embeddable, nodes, witness", [
     (-4, True, 5, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
     (-33, False, 126, None),
     (-65, False, 254, None),
     (-97, False, 382, None),
 ])
-def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
+def test_single_vertex_dual_twin_node_counts(framing, embeddable, nodes, witness):
     # The enumerator itself, on the target embed_diagonal would search.
     q = single_vertex_dual(framing)
     order, target = _search_order(q)
