@@ -25,7 +25,7 @@ import sys
 from . import pipeline
 from .dualcap import build_dual, choose_root
 from .embedder import embed_diagonal
-from .intlin import GramMatrix, gram_from_json, gram_to_json, mu_bar, wu_classes
+from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
 from .openbook import build_open_book
 from .plumbing import (
     generate_gamma_n,
@@ -80,10 +80,6 @@ def _resolve_budget(args) -> int | None:
     return nodes
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
 def _render_gram(q: GramMatrix) -> str:
     lines = ["labels: %s" % " ".join(q.labels)]
     width = max((len(str(v)) for row in q.entries for v in row), default=1)
@@ -92,132 +88,107 @@ def _render_gram(q: GramMatrix) -> str:
     return "\n".join(lines)
 
 
-def _cmd_validate(args) -> int:
+# Each handler prints nothing and returns (exit code, result): the JSON
+# document under --json, the text otherwise, and only the one asked for.
+
+def _cmd_validate(args) -> tuple[int, dict | str]:
     report = validate(_load_graph(args.file))
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.describe())
-    return EXIT_OK if report.all_ok else EXIT_INVALID
+    code = EXIT_OK if report.all_ok else EXIT_INVALID
+    return code, report.to_json_dict() if args.json else report.describe()
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args) -> tuple[int, dict | str]:
     q = gram_matrix(_load_graph(args.file))
-    if args.json:
-        sys.stdout.write(gram_to_json(q))
-    else:
-        print(_render_gram(q))
-    return EXIT_OK
+    return EXIT_OK, q.to_json_dict() if args.json else _render_gram(q)
 
 
-def _cmd_openbook(args) -> int:
+def _cmd_openbook(args) -> tuple[int, dict | str]:
     book = build_open_book(_load_graph(args.file))
     if args.json:
-        _emit_json(book.to_json_dict())
-        return EXIT_OK
-    for hole, owner in book.holes:
-        print("hole %d: vertex %d" % (hole, owner))
+        return EXIT_OK, book.to_json_dict()
+    lines = ["hole %d: vertex %d" % hole for hole in book.holes]
     for curve in book.curves:
         holes = " ".join(str(h) for h in curve.holes)
         if curve.kind == "boundary":
-            print("boundary curve: hole %s" % holes)
+            lines.append("boundary curve: hole %s" % holes)
         else:
-            print("edge curve %d-%d: holes %s" % (curve.edge[0], curve.edge[1], holes))
-    return EXIT_OK
+            lines.append("edge curve %d-%d: holes %s" % (*curve.edge, holes))
+    return EXIT_OK, "\n".join(lines)
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> tuple[int, dict | str]:
     graph = _load_graph(args.file)
     root = args.root if args.root is not None else choose_root(graph)
     dual = build_dual(graph, root)
-    if args.gram_only:
-        if args.json:
-            sys.stdout.write(gram_to_json(dual.gram))
-        else:
-            print(_render_gram(dual.gram))
-        return EXIT_OK
     if args.json:
-        _emit_json(dual.to_json_dict())
-        return EXIT_OK
-    print("root: %d" % dual.root)
-    for s in dual.strings:
-        print("%s: vertex %d, distance %d, framing %d"
-              % (s.label, s.vertex, s.distance, s.framing))
-    print(_render_gram(dual.gram))
-    return EXIT_OK
+        return EXIT_OK, dual.gram.to_json_dict() if args.gram_only else dual.to_json_dict()
+    lines = [] if args.gram_only else ["root: %d" % dual.root] + [
+        "%s: vertex %d, distance %d, framing %d" % (s.label, s.vertex, s.distance, s.framing)
+        for s in dual.strings]
+    return EXIT_OK, "\n".join(lines + [_render_gram(dual.gram)])
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> tuple[int, dict | str]:
     q = gram_from_json(_read_text(args.file))
     rank = args.rank if args.rank is not None else q.rank
     if rank < 0:
         raise _UsageError("target rank must be nonnegative")
     outcome = embed_diagonal(q, rank, _resolve_budget(args))
+    code = EXIT_OK if outcome.completed else EXIT_BUDGET
     if args.json:
-        _emit_json(outcome.to_json_dict(include_timings=not args.no_timings))
+        return code, outcome.to_json_dict(include_timings=not args.no_timings)
+    if not outcome.completed:
+        return code, "undecided: budget exhausted after %d nodes" % outcome.nodes
+    if outcome.embeddable:
+        return code, "\n".join(
+            ["embeddable into <-1>^%d (%d nodes)" % (rank, outcome.nodes)]
+            + ["  " + " ".join(str(v) for v in row) for row in outcome.witness])
+    if outcome.certificate == "rank":
+        reason = ": the form has rank %d" % q.rank
+    elif outcome.certificate == "determinant":
+        reason = ": determinant %d is not a square" % outcome.determinant
     else:
-        if not outcome.completed:
-            print("undecided: budget exhausted after %d nodes" % outcome.nodes)
-        elif outcome.embeddable:
-            print("embeddable into <-1>^%d (%d nodes)" % (rank, outcome.nodes))
-            for row in outcome.witness:
-                print("  " + " ".join(str(v) for v in row))
-        elif outcome.certificate == "rank":
-            print("not embeddable into <-1>^%d: the form has rank %d" % (rank, q.rank))
-        elif outcome.certificate == "determinant":
-            print("not embeddable into <-1>^%d: determinant %d is not a square"
-                  % (rank, outcome.determinant))
-        else:
-            print("not embeddable into <-1>^%d (%d nodes)" % (rank, outcome.nodes))
-    return EXIT_OK if outcome.completed else EXIT_BUDGET
+        reason = " (%d nodes)" % outcome.nodes
+    return code, "not embeddable into <-1>^%d%s" % (rank, reason)
 
 
-def _cmd_wu(args) -> int:
+def _cmd_wu(args) -> tuple[int, dict | str]:
     q = _load_gram(args)
     classes = wu_classes(q)
     if args.json:
-        _emit_json({
-            "labels": list(q.labels),
-            "classes": [list(w) for w in classes],
-        })
-        return EXIT_OK
-    for w in classes:
-        support = " ".join(label for label, bit in zip(q.labels, w) if bit)
-        print("wu class: %s" % (support or "(empty)"))
-    return EXIT_OK
+        return EXIT_OK, {"labels": list(q.labels), "classes": [list(w) for w in classes]}
+    return EXIT_OK, "\n".join(
+        "wu class: %s" % (" ".join(label for label, bit in zip(q.labels, w) if bit)
+                          or "(empty)")
+        for w in classes)
 
 
-def _cmd_mubar(args) -> int:
+def _cmd_mubar(args) -> tuple[int, dict | str]:
     value = mu_bar(_load_gram(args))
-    if args.json:
-        _emit_json({"mu_bar": value})
-    else:
-        print("mu-bar: %d" % value)
-    return EXIT_OK
+    return EXIT_OK, {"mu_bar": value} if args.json else "mu-bar: %d" % value
 
 
-def _cmd_obstruct(args) -> int:
+def _cmd_obstruct(args) -> tuple[int, dict | str]:
     graph = _load_graph(args.file)
     report = pipeline.qhd_obstruction(
         graph, root=args.root, all_roots=args.all_roots,
         budget=_resolve_budget(args))
-    include_timings = not args.no_timings
-    if args.json:
-        _emit_json(report.to_json_dict(include_timings))
-    else:
-        print(pipeline.render_report(report, include_timings))
     if report.verdict == pipeline.UNDECIDED:
-        return EXIT_BUDGET
-    if args.fail_on_inconclusive and report.verdict != pipeline.OBSTRUCTED:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        code = EXIT_BUDGET
+    elif args.fail_on_inconclusive and report.verdict != pipeline.OBSTRUCTED:
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_OK
+    include_timings = not args.no_timings
+    return code, (report.to_json_dict(include_timings) if args.json
+                  else pipeline.render_report(report, include_timings))
 
 
-def _cmd_gamma_n(args) -> int:
+def _cmd_gamma_n(args) -> tuple[int, dict | str]:
     if args.n < 2:
         raise _UsageError("gamma-n needs n >= 2")
-    sys.stdout.write(serialize_plumbing(generate_gamma_n(args.n)))
-    return EXIT_OK
+    # Less the final newline, which cli_main prints.
+    return EXIT_OK, serialize_plumbing(generate_gamma_n(args.n))[:-1]
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -289,7 +260,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, result = args.handler(args)
+        print(result if isinstance(result, str)
+              else json.dumps(result, indent=2, sort_keys=True))
+        return code
     except (_UsageError, OSError) as exc:
         print("plumbcap: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -136,14 +136,12 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
     """Walk positions (i, k), coordinate k of row i, depth first; a twin
     row takes one position per candidate instead.
 
-    ``target`` is the negated form with its rows already in search order.
-    Returns (rows, nodes, completed): the placed rows, or None when no
-    embedding exists or more than ``max_nodes`` nodes (None: no limit)
-    were needed.
+    ``target`` is the negated form with its rows already in search order,
+    and r >= 1.  Returns (rows, nodes, completed): the placed rows, or None
+    when no embedding exists or more than ``max_nodes`` nodes (None: no
+    limit) were needed.
     """
     n = len(target)
-    if r == 0:
-        return None, 0, True
     # Row i is a twin of row i - 1: equal norms, equal pairings with every
     # other row, and pairing with each other one less than the norm.
     twin = [False] + [

@@ -58,11 +58,15 @@ class GramMatrix:
             labels = tuple(str(i) for i in range(len(entries)))
         return cls(rank=len(entries), labels=tuple(labels), entries=entries)
 
+    def to_json_dict(self) -> dict:
+        """The JSON document gram_from_json reads back."""
+        return {"rank": self.rank, "labels": list(self.labels),
+                "gram": [list(row) for row in self.entries]}
+
 
 def gram_to_json(q: GramMatrix) -> str:
-    """The JSON document gram_from_json reads back."""
-    doc = {"rank": q.rank, "labels": list(q.labels), "gram": [list(row) for row in q.entries]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """q.to_json_dict() as the text gram_from_json reads back."""
+    return json.dumps(q.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def gram_from_json(text: str) -> GramMatrix:
@@ -226,13 +230,15 @@ def mu_bar(q: GramMatrix, w: tuple[int, ...] | None = None) -> int:
     w is its only Wu class, and neither check runs.
     """
     if w is None:
-        if not is_negative_definite(q):
+        minors = [1]  # so that rank 0 has determinant 1
+        if first_sylvester_violation(q, minors) is not None:
             raise NotDefiniteError("mu_bar needs a negative definite form")
-        classes = wu_classes(q)
-        if len(classes) != 1:
+        # Odd det Q is exactly an invertible Q mod 2: one Wu class.  Even
+        # det is refused before wu_classes lists 2^nullity classes.
+        if minors[-1] % 2 == 0:
             raise NonUniqueSpinError(
-                "mu_bar needs odd determinant; found %d Wu classes" % len(classes))
-        w = classes[0]
+                "mu_bar needs odd determinant; the determinant is %d" % minors[-1])
+        w = wu_classes(q)[0]
     wqw = 0
     for i in range(q.rank):
         if not w[i]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plumbcap
+from plumbcap import pipeline
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
 from plumbcap.intlin import GramMatrix, gram_to_json
@@ -262,6 +263,23 @@ def test_obstruct_json_reproducible_without_timings(tmp_path, capsys):
     doc = json.loads(first)
     assert doc["verdict"] == "obstructed"
     assert "total_millis" not in doc
+
+
+def test_obstruct_builds_only_the_requested_form(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "g.txt", serialize_plumbing(generate_gamma_n(3)))
+
+    def refuse(*args):
+        raise AssertionError("the other output form was built")
+
+    for argv, other in ((["--json"], (pipeline, "render_report")),
+                        ([], (pipeline.ObstructionReport, "to_json_dict"))):
+        argv = ["obstruct", path, "--no-timings"] + argv
+        assert cli_main(argv) == 0
+        expected = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(*other, refuse)
+            assert cli_main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_budget_env_variable(tmp_path, capsys, monkeypatch):

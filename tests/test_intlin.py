@@ -192,6 +192,27 @@ def test_mu_bar_preconditions():
         mu_bar(GramMatrix.from_rows([[-2]]))
 
 
+def test_mu_bar_refuses_even_determinant_without_listing_wu_classes(
+        tmp_path, capsys, monkeypatch):
+    # A -40 vertex with forty -2 leaves: Q mod 2 has nullity 39.
+    leaves = range(1, 41)
+    text = ("v 0 -40\n" + "".join("v %d -2\n" % v for v in leaves)
+            + "".join("e 0 %d\n" % v for v in leaves))
+    q = GramMatrix.from_rows(
+        [[-40] + [1] * 40] + [[1] + [-2 if j == i else 0 for j in leaves] for i in leaves])
+
+    def refuse(q):
+        raise AssertionError("wu_classes ran")
+
+    monkeypatch.setattr(plumbcap.intlin, "wu_classes", refuse)
+    with pytest.raises(NonUniqueSpinError, match=str(determinant(q))):
+        mu_bar(q)
+    path = tmp_path / "star.txt"
+    path.write_text(text)
+    assert cli_main(["mubar", str(path)]) == 3
+    assert "odd determinant" in capsys.readouterr().err
+
+
 def test_mu_bar_matches_brute_recomputation():
     rng = random.Random(99)
     checked = 0
