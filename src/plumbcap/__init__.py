@@ -10,7 +10,6 @@ no rational homology disk.  All arithmetic is exact integer arithmetic.
 
 from .dualcap import (
     DualConfiguration,
-    DualString,
     NoAdmissibleRootError,
     admissible_roots,
     build_dual,
@@ -29,8 +28,6 @@ from .intlin import (
     determinant,
     first_sylvester_violation,
     gram_from_json,
-    gram_to_json,
-    is_negative_definite,
     mu_bar,
     wu_classes,
 )
@@ -64,7 +61,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DualConfiguration",
-    "DualString",
     "EmbeddingOutcome",
     "GramMatrix",
     "GraphFormatError",
@@ -91,8 +87,6 @@ __all__ = [
     "generate_gamma_n",
     "gram_from_json",
     "gram_matrix",
-    "gram_to_json",
-    "is_negative_definite",
     "mu_bar",
     "parse_plumbing",
     "qhd_obstruction",

@@ -123,8 +123,8 @@ def _cmd_dual(args) -> tuple[int, dict | str]:
     if args.json:
         return EXIT_OK, dual.gram.to_json_dict() if args.gram_only else dual.to_json_dict()
     lines = [] if args.gram_only else ["root: %d" % dual.root] + [
-        "%s: vertex %d, distance %d, framing %d" % (s.label, s.vertex, s.distance, s.framing)
-        for s in dual.strings]
+        "%(label)s: vertex %(vertex)d, distance %(distance)d, framing %(framing)d" % s
+        for s in dual.to_json_dict()["strings"]]
     return EXIT_OK, "\n".join(lines + [_render_gram(dual.gram)])
 
 

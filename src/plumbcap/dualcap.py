@@ -32,46 +32,50 @@ from . import intlin
 from .plumbing import PlumbingGraph, rooted_tree
 
 
+# The largest dual rank built.  The dual and the search tables grow as
+# rank^2: `obstruct v 0 -1024` (rank 1023) peaks at 56 MB, so a search at
+# this bound needs about 0.9 GB.
+MAX_DUAL_RANK = 4096
+
+
 class NoAdmissibleRootError(ValueError):
     """No vertex satisfies -e_v - d_v > 0."""
 
 
 @dataclass(frozen=True)
-class DualString:
-    label: str
-    vertex: int
-    distance: int  # edges from the owner to the root
-    framing: int   # always -distance - 2
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "vertex": self.vertex,
-            "distance": self.distance,
-            "framing": self.framing,
-        }
-
-
-@dataclass(frozen=True)
 class DualConfiguration:
+    """The dual at ``root``: string i is owned by vertex ``owners[i]`` and
+    is row i of ``gram``, which holds its label and its framing
+    -distance - 2, distance being the edges from its owner to the root."""
+
     root: int
-    strings: tuple[DualString, ...]
+    owners: tuple[int, ...]
     gram: intlin.GramMatrix
 
     def to_json_dict(self) -> dict:
+        q = self.gram
         return {
             "root": self.root,
-            "strings": [s.to_json_dict() for s in self.strings],
+            "strings": [{"label": q.labels[i], "vertex": u,
+                         "distance": -q.entries[i][i] - 2, "framing": q.entries[i][i]}
+                        for i, u in enumerate(self.owners)],
         }
 
 
 def string_counts(g: PlumbingGraph, root: int | None = None) -> dict[int, int]:
-    """-e_v - d_v per vertex, with one string removed at the root."""
+    """-e_v - d_v per vertex, with one string removed at the root.
+
+    Raises ValueError when the dual rank, the sum of -e_v - d_v less one,
+    exceeds MAX_DUAL_RANK, so that nothing sized by it is allocated.
+    """
     framings = g.framing_map()
     counts = {v: -framings[v] for v in framings}
     for a, b in g.edges:
         counts[a] -= 1
         counts[b] -= 1
+    rank = sum(counts.values()) - 1
+    if rank > MAX_DUAL_RANK:
+        raise ValueError("dual rank %d exceeds the bound %d" % (rank, MAX_DUAL_RANK))
     if root is not None:
         counts[root] -= 1
     return counts
@@ -112,7 +116,8 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
 
     Raises ValueError unless ``g`` is a connected tree, the root is
     admissible and no vertex has -e_v - d_v < 0.  Those checks accept
-    exactly the graphs ``validate`` accepts, at any admissible root.
+    exactly the graphs ``validate`` accepts, at any admissible root, up
+    to the rank bound that ``string_counts`` enforces.
     """
     if root not in set(g.ids()):
         raise KeyError("no vertex %d" % root)
@@ -131,25 +136,15 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     if len(boxes) != len(counts):
         raise ValueError("graph is not connected")
 
-    strings: list[DualString] = []
-    for vid in g.ids():
-        dist = len(boxes[vid])
-        for k in range(counts[vid]):
-            strings.append(DualString(
-                label="u%d#%d" % (vid, k),
-                vertex=vid,
-                distance=dist,
-                framing=-dist - 2,
-            ))
-
+    owners = tuple(v for v in g.ids() for _ in range(counts[v]))
+    labels = ["u%d#%d" % (v, k) for v in g.ids() for k in range(counts[v])]
     # Q[i][j] = -delta_ij - 1 - |boxes(u_i) & boxes(u_j)|, one row per owner.
-    owners = [s.vertex for s in strings]
     linking = {u: [-1 - len(boxes[u] & boxes[w]) for w in owners] for u in set(owners)}
     rows = [list(linking[u]) for u in owners]
     for i, row in enumerate(rows):
         row[i] -= 1
-    gram = intlin.GramMatrix.from_rows(rows, labels=[s.label for s in strings])
-    return DualConfiguration(root=root, strings=tuple(strings), gram=gram)
+    gram = intlin.GramMatrix.from_rows(rows, labels=labels)
+    return DualConfiguration(root=root, owners=owners, gram=gram)
 
 
 def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:

@@ -12,9 +12,12 @@ values high to low, with
 exact norm and inner-product constraints pruned by Cauchy-Schwarz against
 every previously placed row.  The search is one loop over positions
 (i, k), coordinate k of the i-th placed row, with flat per-position state
-(value, lowest value, norm and inner products left); backtracking steps
-to the previous position.  Once a row is complete its norm left at k is
-the sum of its squares from k on, which is what Cauchy-Schwarz needs.
+(value, norm and inner products left); backtracking steps to the previous
+position.  The lowest value allowed is 0 on the untouched suffix (below)
+and -isqrt(norm left) elsewhere, so a value v < 0 is out of range exactly
+when it lies on that suffix or v^2 exceeds the norm left.  Once a row is
+complete its norm left at k is the sum of its squares from k on, which is
+what Cauchy-Schwarz needs.
 
 Signed permutations of the target coordinates are factored out:
 coordinates whose value history over the placed rows is identical are
@@ -148,7 +151,6 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
         a[i] == b[i - 1] == a[i - 1] + 1 and a[:i - 1] == b[:i - 1] and a[i + 1:] == b[i + 1:]
         for i, a, b in zip(range(1, n), target[1:], target)]
     x = [[0] * r for _ in range(n)]          # value at (i, k), next one tried below it
-    low = [[0] * r for _ in range(n)]        # lowest value allowed at (i, k)
     rem = [[0] * (r + 1) for _ in range(n)]  # norm left for coordinates k.. of row i, 0 at r
     needs = [[()] * r for _ in range(n)]     # inner products left with rows 0..i-1
     swaps: list[list[int]] = [[] for _ in range(n)]  # twin row i: swaps p <-> p + 1 left
@@ -173,11 +175,9 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
             swaps[i] = [p for p in range(r - 1)
                         if tied[i - 1][p + 1] and done[p] - done[p + 1] == 1]
             return
-        left = rem[i][0] = target[i][i]
+        rem[i][0] = target[i][i]
         needs[i][0] = target[i][:i]
-        top = isqrt(left)
-        low[i][0] = 0 if fresh[i] == 0 else -top
-        x[i][0] = top + 1
+        x[i][0] = isqrt(target[i][i]) + 1
 
     rem[0][0] = target[0][0]
     x[0][0] = isqrt(rem[0][0]) + 1
@@ -202,7 +202,7 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
             begin(i, done)
             continue
         v = x[i][k] - 1
-        if v < low[i][k]:
+        if v < 0 and (k >= fresh[i] or v * v > rem[i][k]):
             if k:
                 k -= 1
             elif i:
@@ -233,10 +233,9 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
                 begin(i, x[i - 1])
                 continue
             rem[i][k], needs[i][k] = left, ahead
-            top = hi = isqrt(left)
+            hi = isqrt(left)
             if tied[i][k] and x[i][k - 1] < hi:
                 hi = x[i][k - 1]
-            low[i][k] = 0 if k >= fresh[i] else -top
             x[i][k] = hi + 1
 
 

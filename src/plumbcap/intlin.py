@@ -12,6 +12,10 @@ import json
 from dataclasses import dataclass
 
 
+# wu_classes lists at most this many bits: 2^nullity classes of rank bits.
+MAX_WU_BITS = 1 << 22
+
+
 class NotDefiniteError(ValueError):
     """An operation that needs a negative definite form was given one that
     is not."""
@@ -62,11 +66,6 @@ class GramMatrix:
         """The JSON document gram_from_json reads back."""
         return {"rank": self.rank, "labels": list(self.labels),
                 "gram": [list(row) for row in self.entries]}
-
-
-def gram_to_json(q: GramMatrix) -> str:
-    """q.to_json_dict() as the text gram_from_json reads back."""
-    return json.dumps(q.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def gram_from_json(text: str) -> GramMatrix:
@@ -152,11 +151,6 @@ def first_sylvester_violation(q: GramMatrix, minors: list[int] | None = None) ->
     return None
 
 
-def is_negative_definite(q: GramMatrix) -> bool:
-    """True iff (-1)^k det(leading k x k minor) > 0 for k = 1..rank."""
-    return first_sylvester_violation(q) is None
-
-
 def _satisfies_wu(q: GramMatrix, bits) -> bool:
     for i in range(q.rank):
         acc = 0
@@ -175,7 +169,8 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
     count is 2^(nullity of Q mod 2); it is a singleton exactly when det(Q)
     is odd.  The solutions are a particular one p plus the span of a
     kernel basis b_1, b_2, ...; since the system is linear, checking p and
-    every p + b_i checks every class.
+    every p + b_i checks every class.  Raises ValueError before listing
+    when 2^nullity * rank exceeds MAX_WU_BITS.
     """
     n = q.rank
     # Row-reduce [mask | rhs] with rows as bitmasks.
@@ -198,6 +193,10 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
             raise AssertionError("inconsistent characteristic-vector system")
     reduced.sort()
     pivot_cols = {pcol for pcol, _, _ in reduced}
+    nullity = n - len(reduced)
+    if n << nullity > MAX_WU_BITS:
+        raise ValueError("too many Wu classes to list: 2^%d at rank %d exceeds "
+                         "the bound of %d bits" % (nullity, n, MAX_WU_BITS))
 
     def solve(free: int) -> int:
         # Back-substitute, highest pivot first, from the free bits given.

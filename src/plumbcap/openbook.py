@@ -52,7 +52,9 @@ def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
 
     Hole ids are assigned by ascending owner id, then local index.  Raises
     ValidationFailure unless ``validate(g)`` is all-true, which also
-    guarantees at least one hole in total.
+    guarantees at least one hole in total, and ValueError when the dual
+    rank, one less than the number of holes, exceeds
+    ``dualcap.MAX_DUAL_RANK``.
     """
     report = validate(g)
     if not report.all_ok:

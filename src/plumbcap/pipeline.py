@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from .dualcap import admissible_roots, build_dual, choose_root
 from .embedder import EmbeddingOutcome, embed_diagonal
-# determinant is not called here, but bench/tracing.py wraps the
-# pipeline's functions by name, this one included.
+# determinant and gram_matrix are not called here (validate builds and
+# scans the form), but bench/tracing.py wraps the pipeline's functions by
+# name, these two included.
 from .intlin import determinant, mu_bar, wu_classes
 from .plumbing import PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix, validate
 
@@ -62,7 +63,6 @@ class ObstructionReport:
 
     graph: PlumbingGraph
     validation: ValidationReport
-    det_gram: int
     dual_rank: int
     results: tuple[RootResult, ...]
     wu_support: tuple[int, ...] | None
@@ -72,6 +72,10 @@ class ObstructionReport:
     @property
     def verdict(self) -> str:
         return _combine([r.verdict for r in self.results])
+
+    @property
+    def det_gram(self) -> int:
+        return self.validation.determinant
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
@@ -117,9 +121,7 @@ def qhd_obstruction(
     the graph is not a negative definite tree with reduced fundamental
     cycle; the failure carries the validation report.
     """
-    q = gram_matrix(graph)
-    minors: list[int] = []
-    report = validate(graph, q, minors)
+    report = validate(graph)
     if not report.all_ok:
         raise ValidationFailure(report)
     started = time.monotonic()
@@ -130,7 +132,7 @@ def qhd_obstruction(
     else:
         roots = [choose_root(graph)]
 
-    det = minors[-1]  # the last leading minor of a definite form
+    det = report.determinant
     results = []
     dual_rank = 0
     for r in roots:
@@ -142,14 +144,13 @@ def qhd_obstruction(
     wu_support = None
     mu = None
     if det % 2 != 0:
-        unique = wu_classes(q)[0]
+        unique = wu_classes(report.gram)[0]
         wu_support = tuple(v for v, bit in zip(graph.ids(), unique) if bit)
-        mu = mu_bar(q, unique)
+        mu = mu_bar(report.gram, unique)
     total_millis = int((time.monotonic() - started) * 1000)
     return ObstructionReport(
         graph=graph,
         validation=report,
-        det_gram=det,
         dual_rank=dual_rank,
         results=tuple(results),
         wu_support=wu_support,

@@ -10,7 +10,7 @@ three properties separately so callers can explain rejections.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import intlin
 
@@ -91,10 +91,19 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What ``validate`` found.  ``gram`` is the intersection form it
+    scanned; ``determinant`` is det Q, the scan's last leading minor, when
+    Q is negative definite, and None otherwise."""
+
     is_tree: bool
-    negative_definite: bool
     reduced_fundamental_cycle: bool
-    offending_vertices: tuple[int, ...] = field(default_factory=tuple)
+    offending_vertices: tuple[int, ...]
+    gram: intlin.GramMatrix
+    determinant: int | None
+
+    @property
+    def negative_definite(self) -> bool:
+        return self.determinant is not None
 
     @property
     def all_ok(self) -> bool:
@@ -218,8 +227,7 @@ def rooted_tree(g: PlumbingGraph, root: int) -> tuple[dict[int, int | None], lis
     return parent, order
 
 
-def validate(g: PlumbingGraph, q: intlin.GramMatrix | None = None,
-             minors: list[int] | None = None) -> ValidationReport:
+def validate(g: PlumbingGraph) -> ValidationReport:
     """Check tree-ness, negative definiteness and |framing| >= valency.
 
     ``offending_vertices`` always explains a failure: reduced-cycle
@@ -227,13 +235,8 @@ def validate(g: PlumbingGraph, q: intlin.GramMatrix | None = None,
     failing Sylvester order (in ascending-id position); for a disconnected
     graph, every vertex outside the component of the lowest id; for a
     connected graph with a cycle, the endpoints of the first removable
-    edge.
-
-    A caller that needs the intersection form too passes ``q``, which
-    must be gram_matrix(g), so that it is built once.  When ``minors`` is
-    a list the definiteness scan appends its leading minors to it, as
-    first_sylvester_violation does: for a negative definite form the last
-    is det Q.
+    edge.  The report carries the form and, when it is definite, its
+    determinant, so a caller builds and eliminates it no second time.
     """
     ids = g.ids()
     offenders = set(ids).difference(rooted_tree(g, ids[0])[1])
@@ -251,18 +254,18 @@ def validate(g: PlumbingGraph, q: intlin.GramMatrix | None = None,
     rfc_bad = [v for v in ids if abs(framings[v]) < len(adj[v])]
     offenders.update(rfc_bad)
 
-    if q is None:
-        q = gram_matrix(g)
+    q = gram_matrix(g)
+    minors: list[int] = []
     violation = intlin.first_sylvester_violation(q, minors)
-    negative_definite = violation is None
     if violation is not None:
         offenders.add(ids[violation - 1])
 
     return ValidationReport(
         is_tree=is_tree,
-        negative_definite=negative_definite,
         reduced_fundamental_cycle=not rfc_bad,
         offending_vertices=tuple(sorted(offenders)),
+        gram=q,
+        determinant=minors[-1] if violation is None else None,
     )
 
 

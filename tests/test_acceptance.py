@@ -19,7 +19,7 @@ from plumbcap.embedder import embed_diagonal, verify_witness
 from plumbcap.intlin import (
     GramMatrix,
     determinant,
-    is_negative_definite,
+    first_sylvester_violation,
     mu_bar,
     wu_classes,
 )
@@ -73,7 +73,7 @@ def oracle_sweep():
     candidates += [[[a, c], [c, b]]
                    for a in span for b in span for c in span]
     for rows in candidates:
-        if not is_negative_definite(GramMatrix.from_rows(rows)):
+        if first_sylvester_violation(GramMatrix.from_rows(rows)) is not None:
             continue
         for r in range(4):
             compare(rows, r)
@@ -86,7 +86,7 @@ def oracle_sweep():
             rows[i][i] = -rng.randint(1, 4)
         for i, j in itertools.combinations(range(3), 2):
             rows[i][j] = rows[j][i] = rng.randint(-4, 1)
-        if not is_negative_definite(GramMatrix.from_rows(rows)):
+        if first_sylvester_violation(GramMatrix.from_rows(rows)) is not None:
             continue
         compare(rows, rng.randint(0, 3))
         sampled += 1
@@ -125,16 +125,16 @@ def test_criterion_1_family_obstruction_n7_to_n9(family_runs):
 def test_criterion_2_quoted_dual_entries(family_runs):
     _, dual, _, _ = family_runs[7]
     q = dual.gram
-    root_strings = [i for i, s in enumerate(dual.strings) if s.vertex == 2]
+    root_strings = [i for i, u in enumerate(dual.owners) if u == 2]
     assert len(root_strings) == 4  # n - 3 for n = 7
     for i, j in itertools.combinations(root_strings, 2):
         assert q.entries[i][i] == -2
         assert q.entries[j][j] == -2
         assert q.entries[i][j] == -1
-    pair = [i for i, s in enumerate(dual.strings) if s.vertex == 6]
+    pair = [i for i, u in enumerate(dual.owners) if u == 6]
     assert [q.entries[i][i] for i in pair] == [-3, -3]
     assert q.entries[pair[0]][pair[1]] == -2
-    deep = [i for i, s in enumerate(dual.strings) if q.entries[i][i] == -4]
+    deep = [i for i in range(q.rank) if q.entries[i][i] == -4]
     assert len(deep) == 7
     for i in deep:
         assert any(q.entries[i][j] == -3 for j in deep if j != i)
@@ -190,7 +190,7 @@ def test_criterion_8_structural_invariants():
         root = choose_root(graph)
         dual = build_dual(graph, root)
         assert dual.gram.rank == sum(counts.values()) - 1, index
-        assert is_negative_definite(dual.gram), index
+        assert first_sylvester_violation(dual.gram) is None, index
         book = build_open_book(graph)
         assert len(book.holes) == dual.gram.rank + 1, index
     note("criterion 8 PASS: 500 random trees, rank/definiteness/hole-count invariants hold")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,10 +15,10 @@ import plumbcap
 from plumbcap import pipeline
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
-from plumbcap.intlin import GramMatrix, gram_to_json
+from plumbcap.intlin import GramMatrix
 from plumbcap.plumbing import generate_gamma_n, serialize_plumbing
 
-A2_JSON = gram_to_json(GramMatrix.from_rows([[-2, 1], [1, -2]]))
+A2_JSON = json.dumps(GramMatrix.from_rows([[-2, 1], [1, -2]]).to_json_dict())
 
 
 def write(tmp_path, name, text):
@@ -159,7 +160,7 @@ def test_embed_prints_certificates(tmp_path, capsys, rank, line):
 
 def test_embed_budget_exits_4(tmp_path, capsys):
     gram = build_dual(generate_gamma_n(7), 2).gram
-    path = write(tmp_path, "dual.json", gram_to_json(gram))
+    path = write(tmp_path, "dual.json", json.dumps(gram.to_json_dict()))
     assert cli_main(["embed", path, "--budget-nodes", "50"]) == 4
     assert "undecided" in capsys.readouterr().out
 
@@ -184,7 +185,7 @@ def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
 
 
 def test_embed_deep_search_exits_0(tmp_path, capsys):
-    path = write(tmp_path, "q.json", gram_to_json(GramMatrix.from_rows([[-1]])))
+    path = write(tmp_path, "q.json", json.dumps(GramMatrix.from_rows([[-1]]).to_json_dict()))
     assert cli_main(["embed", path, "--rank", "1200", "--json", "--no-timings"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"embeddable": True, "nodes": 1200, "completed": True,
@@ -193,7 +194,7 @@ def test_embed_deep_search_exits_0(tmp_path, capsys):
 
 def test_embed_rejects_indefinite_gram(tmp_path, capsys):
     path = write(tmp_path, "bad.json",
-                 gram_to_json(GramMatrix.from_rows([[2]])))
+                 json.dumps(GramMatrix.from_rows([[2]]).to_json_dict()))
     assert cli_main(["embed", path]) == 3
     capsys.readouterr()
 
@@ -315,11 +316,39 @@ def test_console_script_pipeline():
     assert "verdict: inconclusive" in proc.stdout
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+HUGE_FRAMING = "v 0 -100000000000000000000\n"  # dual rank 10^20 - 1
+STAR_41 = "v 0 -40\n" + "".join("v %d -2\ne 0 %d\n" % (v, v) for v in range(1, 41))
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, HUGE_FRAMING, id=command + "-huge-framing")
+    for command in ("obstruct", "dual", "openbook")
+] + [pytest.param("wu", STAR_41, id="wu-star-41")])  # 2^39 Wu classes
+def test_oversized_inputs_exit_3_under_a_memory_cap(tmp_path, command, text):
+    # Refused before anything sized by them is allocated, so a 1 GB
+    # address-space cap ends neither in MemoryError.
+    path = write(tmp_path, "g.txt", text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", command, path],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("plumbcap: ") and "exceeds the bound" in proc.stderr
+
+
 # The bounds keep each example fast, not safe: framings in the thousands
 # give duals whose O(r^3) definiteness check no node budget covers, and
-# many -2 leaves make `wu` list 2^nullity classes.  Both cost run time;
-# neither prints a traceback.  Framings and Gram entries lean toward
-# values that pass validation, so that many examples reach the search.
+# many -2 leaves make `wu` list up to 2^22 bits of classes.  Both cost run
+# time; neither prints a traceback.  Framings past a dual rank of 4096 and
+# wider stars exit 3 (test_oversized_inputs_exit_3_under_a_memory_cap).
+# Framings and Gram entries lean toward values that pass validation, so
+# that many examples reach the search.
 FRAMINGS = st.one_of(st.integers(-5, -2), st.integers(-9, 4))
 JUNK_LINES = st.one_of(
     st.sampled_from(["", "# comment", "v", "v 1", "e 0", "x 1 2", "v -1 -2",

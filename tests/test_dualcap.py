@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_model_dual_gram, nd_by_minors, random_valid_tree
+from oracles import box_model_dual_gram, nd_by_minors, random_valid_tree, tree_distances
+from plumbcap import dualcap
 from plumbcap.dualcap import (
     NoAdmissibleRootError,
     admissible_roots,
@@ -12,7 +13,8 @@ from plumbcap.dualcap import (
     choose_root,
     string_counts,
 )
-from plumbcap.intlin import determinant, is_negative_definite
+from plumbcap.intlin import determinant, first_sylvester_violation
+from plumbcap.openbook import build_open_book
 from plumbcap.plumbing import (
     PlumbingGraph,
     generate_gamma_n,
@@ -58,7 +60,8 @@ def test_build_dual_single_minus_four():
     g = parse_plumbing("v 0 -4\n")
     dual = build_dual(g, 0)
     assert dual.root == 0
-    assert [s.label for s in dual.strings] == ["u0#0", "u0#1", "u0#2"]
+    assert dual.owners == (0, 0, 0)
+    assert dual.gram.labels == ("u0#0", "u0#1", "u0#2")
     assert [list(r) for r in dual.gram.entries] == [
         [-2, -1, -1], [-1, -2, -1], [-1, -1, -2]]
 
@@ -66,7 +69,7 @@ def test_build_dual_single_minus_four():
 def test_build_dual_rank_zero():
     # One -1 vertex yields a single string, removed as the root string.
     dual = build_dual(parse_plumbing("v 0 -1\n"), 0)
-    assert dual.strings == ()
+    assert dual.owners == ()
     assert dual.gram.rank == 0
 
 
@@ -76,7 +79,7 @@ def test_build_dual_gamma_7_quoted_entries():
     q = dual.gram
     assert q.rank == 14
 
-    root_strings = [i for i, s in enumerate(dual.strings) if s.vertex == 2]
+    root_strings = [i for i, u in enumerate(dual.owners) if u == 2]
     assert len(root_strings) == 4
     for i in root_strings:
         assert q.entries[i][i] == -2
@@ -84,19 +87,19 @@ def test_build_dual_gamma_7_quoted_entries():
             if i != j:
                 assert q.entries[i][j] == -1
 
-    fork = [i for i, s in enumerate(dual.strings) if s.vertex == 6]
+    fork = [i for i, u in enumerate(dual.owners) if u == 6]
     assert len(fork) == 2
     assert all(q.entries[i][i] == -3 for i in fork)
     assert q.entries[fork[0]][fork[1]] == -2
 
-    deep = [i for i, s in enumerate(dual.strings) if s.framing == -4]
+    deep = [i for i in range(q.rank) if q.entries[i][i] == -4]
     assert len(deep) == 7
     for i in deep:
         partners = [j for j in deep if j != i and q.entries[i][j] == -3]
-        assert partners, dual.strings[i]
+        assert partners, q.labels[i]
 
     # The chain-end string is the long one.
-    (tail,) = [i for i, s in enumerate(dual.strings) if s.vertex == 12]
+    (tail,) = [i for i, u in enumerate(dual.owners) if u == 12]
     assert q.entries[tail][tail] == -9
     for i in fork:
         assert q.entries[tail][i] == -2
@@ -108,8 +111,12 @@ def test_dual_framing_is_distance_law():
         g = random_valid_tree(rng)
         for root in admissible_roots(g):
             dual = build_dual(g, root)
-            for s in dual.strings:
-                assert s.framing == -s.distance - 2
+            dist = tree_distances(g, root)
+            strings = dual.to_json_dict()["strings"]
+            assert [s["vertex"] for s in strings] == list(dual.owners)
+            for i, (u, s) in enumerate(zip(dual.owners, strings)):
+                assert dual.gram.entries[i][i] == -dist[u] - 2
+                assert s["distance"] == dist[u]
 
 
 def test_off_diagonal_linking_bounds():
@@ -119,13 +126,13 @@ def test_off_diagonal_linking_bounds():
     for _ in range(40):
         g = random_valid_tree(rng)
         for root in admissible_roots(g):
-            dual = build_dual(g, root)
-            for i, s in enumerate(dual.strings):
-                for j in range(i + 1, dual.gram.rank):
-                    t = dual.strings[j]
-                    entry = dual.gram.entries[i][j]
+            q = build_dual(g, root).gram
+            distance = [-q.entries[i][i] - 2 for i in range(q.rank)]
+            for i in range(q.rank):
+                for j in range(i + 1, q.rank):
+                    entry = q.entries[i][j]
                     assert entry <= -1
-                    assert entry >= -1 - min(s.distance, t.distance)
+                    assert entry >= -1 - min(distance[i], distance[j])
 
 
 def test_same_vertex_strings_pair_one_above_framing():
@@ -136,11 +143,11 @@ def test_same_vertex_strings_pair_one_above_framing():
         if not roots:
             continue
         dual = build_dual(g, roots[0])
-        for i, s in enumerate(dual.strings):
-            for j in range(i + 1, dual.gram.rank):
-                t = dual.strings[j]
-                if s.vertex == t.vertex:
-                    assert dual.gram.entries[i][j] == s.framing + 1
+        q = dual.gram
+        for i, u in enumerate(dual.owners):
+            for j in range(i + 1, q.rank):
+                if dual.owners[j] == u:
+                    assert q.entries[i][j] == q.entries[i][i] + 1
 
 
 def test_dual_rank_is_root_independent():
@@ -180,7 +187,7 @@ def test_dual_gram_negative_definite():
             assert nd_by_minors([list(r) for r in q.entries])
             small += 1
         else:
-            assert is_negative_definite(q)
+            assert first_sylvester_violation(q) is None
     assert small >= 5
 
 
@@ -240,3 +247,17 @@ def test_dual_json_shape():
     assert doc["root"] == 0
     assert doc["strings"][0] == {
         "label": "u0#0", "vertex": 0, "distance": 0, "framing": -2}
+
+
+def test_dual_rank_is_bounded(monkeypatch):
+    # Huge framings run in a capped child process in test_cli; in process
+    # an unbounded build would exhaust memory.  At the bound the dual is
+    # built; one above it, refused.
+    g = parse_plumbing("v 0 -4\nv 1 -2\ne 0 1\n")  # strings 3 + 1, rank 3
+    monkeypatch.setattr(dualcap, "MAX_DUAL_RANK", 3)
+    assert build_dual(g, 0).gram.rank == 3
+    assert len(build_open_book(g).holes) == 4
+    monkeypatch.setattr(dualcap, "MAX_DUAL_RANK", 2)
+    for build in (lambda: build_dual(g, 0), lambda: build_open_book(g)):
+        with pytest.raises(ValueError, match="dual rank 3 exceeds the bound 2"):
+            build()

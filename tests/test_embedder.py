@@ -13,7 +13,7 @@ import plumbcap
 from oracles import dense_search, naive_embed_oracle, random_valid_tree
 from plumbcap.dualcap import admissible_roots, build_dual, choose_root
 from plumbcap.embedder import _search, _search_order, embed_diagonal, verify_witness
-from plumbcap.intlin import GramMatrix, NotDefiniteError, is_negative_definite
+from plumbcap.intlin import GramMatrix, NotDefiniteError, first_sylvester_violation
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
 
 A2 = GramMatrix.from_rows([[-2, 1], [1, -2]])
@@ -321,7 +321,7 @@ def test_matches_oracle_on_rank_two_grid():
         for c in range(-4, 2):
             q_rows = [[a, c], [c, b]]
             q = GramMatrix.from_rows(q_rows)
-            if not is_negative_definite(q):
+            if first_sylvester_violation(q) is not None:
                 continue
             for r in range(4):
                 mine = embed_diagonal(q, r, None)
@@ -342,7 +342,7 @@ def test_matches_oracle_on_random_rank_three_forms():
             for j in range(i + 1, 3):
                 rows[i][j] = rows[j][i] = rng.randint(-4, 1)
         q = GramMatrix.from_rows(rows)
-        if not is_negative_definite(q):
+        if first_sylvester_violation(q) is not None:
             continue
         r = rng.randint(0, 3)
         mine = embed_diagonal(q, r, None)
@@ -359,7 +359,7 @@ def test_embeddability_is_monotone_in_rank():
             rows[i][i] = -rng.randint(1, 5)
         rows[0][1] = rows[1][0] = rng.randint(-3, 3)
         q = GramMatrix.from_rows(rows)
-        if not is_negative_definite(q):
+        if first_sylvester_violation(q) is not None:
             continue
         previous = False
         for r in range(0, 6):
@@ -416,7 +416,7 @@ def small_definite_forms(draw):
         for j in range(i):
             rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
     q = GramMatrix.from_rows(rows)
-    assume(is_negative_definite(q))
+    assume(first_sylvester_violation(q) is None)
     return q
 
 
@@ -445,7 +445,7 @@ def forms_with_a_twin_pair(draw):
     rows.insert(a + 1, list(rows[a]))
     rows[a][a + 1] = rows[a + 1][a] = rows[a][a] + 1
     q = GramMatrix.from_rows(rows)
-    assume(is_negative_definite(q))
+    assume(first_sylvester_violation(q) is None)
     return q
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -17,11 +18,10 @@ from plumbcap.intlin import (
     determinant,
     first_sylvester_violation,
     gram_from_json,
-    gram_to_json,
-    is_negative_definite,
     mu_bar,
     wu_classes,
 )
+from plumbcap.plumbing import gram_matrix, parse_plumbing
 
 A2 = GramMatrix.from_rows([[-2, 1], [1, -2]])
 
@@ -59,13 +59,13 @@ def test_rank_zero_conventions():
     empty = GramMatrix.from_rows([])
     assert empty.rank == 0
     assert determinant(empty) == 1
-    assert is_negative_definite(empty)
+    assert first_sylvester_violation(empty) is None
     assert wu_classes(empty) == [()]
 
 
 def test_json_round_trip():
     q = GramMatrix.from_rows([[-2, 1], [1, -3]], labels=["u0#0", "u0#1"])
-    assert gram_from_json(gram_to_json(q)) == q
+    assert gram_from_json(json.dumps(q.to_json_dict())) == q
 
 
 @st.composite
@@ -83,7 +83,7 @@ def labeled_symmetric_forms(draw):
 @settings(derandomize=True, deadline=None)
 @given(labeled_symmetric_forms())
 def test_property_json_round_trip(q):
-    assert gram_from_json(gram_to_json(q)) == q
+    assert gram_from_json(json.dumps(q.to_json_dict())) == q
 
 
 def test_json_rejects_malformed_documents():
@@ -137,7 +137,7 @@ def test_definiteness_matches_minor_oracle():
             for i in range(n):
                 rows[i][i] = -sum(abs(rows[i][j]) for j in range(n) if j != i) - 1
         q = GramMatrix.from_rows(rows)
-        assert is_negative_definite(q) == nd_by_minors(rows)
+        assert (first_sylvester_violation(q) is None) == nd_by_minors(rows)
 
 
 def test_wu_classes_known_values():
@@ -158,6 +158,29 @@ def test_wu_classes_match_enumeration():
         assert (len(got) == 1) == (determinant(q) % 2 != 0)
 
 
+def star(leaves: int) -> str:
+    """A -k vertex with k leaves framed -2: 2^(k-1) Wu classes."""
+    return "v 0 -%d\n" % leaves + "".join(
+        "v %d -2\ne 0 %d\n" % (v, v) for v in range(1, leaves + 1))
+
+
+def test_wu_listing_is_bounded(tmp_path, capsys, monkeypatch):
+    # 19 leaves: 2^18 classes of 20 bits, over the 2^22 bound.
+    path = tmp_path / "star.txt"
+    path.write_text(star(19))
+    assert cli_main(["wu", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "plumbcap: too many Wu classes to list: 2^18 at rank 20 exceeds "
+        "the bound of 4194304 bits\n")
+    # At the bound the classes are listed; one below it, refused.
+    q = gram_matrix(parse_plumbing(star(3)))
+    monkeypatch.setattr(plumbcap.intlin, "MAX_WU_BITS", 4 << 2)
+    assert wu_classes(q) == sorted(brute_wu([list(r) for r in q.entries]))
+    monkeypatch.setattr(plumbcap.intlin, "MAX_WU_BITS", (4 << 2) - 1)
+    with pytest.raises(ValueError, match="2\\^2 at rank 4"):
+        wu_classes(q)
+
+
 def test_wu_check_survives_optimized_python():
     # Under -O an assert would vanish and a bad Wu class would be returned.
     script = (
@@ -174,7 +197,7 @@ def test_wu_check_survives_optimized_python():
 def test_wu_support_labels(tmp_path, capsys):
     q = GramMatrix.from_rows([[-3, 0], [0, -2]], labels=["p", "q"])
     path = tmp_path / "q.json"
-    path.write_text(gram_to_json(q))
+    path.write_text(json.dumps(q.to_json_dict()))
     assert cli_main(["wu", "--gram", str(path)]) == 0
     assert capsys.readouterr().out == "wu class: p\nwu class: p q\n"
 

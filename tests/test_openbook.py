@@ -128,10 +128,9 @@ def test_curves_crossed_matches_dual_framing():
         dual = build_dual(g, root)
         root_holes = [h for h, owner in book.holes if owner == root]
         outer = root_holes[0]
-        for s in dual.strings:
-            hole = next(h for h, owner in book.holes
-                        if owner == s.vertex and h != outer)
-            assert curves_crossed(book, hole, outer) == -s.framing
+        for i, u in enumerate(dual.owners):
+            hole = next(h for h, owner in book.holes if owner == u and h != outer)
+            assert curves_crossed(book, hole, outer) == -dual.gram.entries[i][i]
 
 
 def test_curves_crossed_rejects_bad_holes():

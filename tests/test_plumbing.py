@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import nd_by_minors, random_valid_tree, tree_distances
+from oracles import leibniz_det, nd_by_minors, random_valid_tree, tree_distances
 from plumbcap.plumbing import (
     GraphFormatError,
     PlumbingGraph,
@@ -168,6 +168,37 @@ def test_validate_positive_framing():
 def test_single_minus_one_vertex_is_valid():
     report = validate(parse_plumbing("v 0 -1\n"))
     assert report.all_ok
+
+
+def test_validate_reports_the_form_and_its_determinant():
+    # Trees on 1..6 vertices with framings in [-6, 2], definite or not.
+    rng = random.Random(20261101)
+    definite = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        g = PlumbingGraph(
+            vertices=tuple((v, rng.randint(-6, 2)) for v in range(n)),
+            edges=tuple((rng.randrange(v), v) for v in range(1, n)))
+        report = validate(g)
+        assert report.gram == gram_matrix(g)
+        rows = [list(r) for r in report.gram.entries]
+        if nd_by_minors(rows):
+            assert report.determinant == leibniz_det(rows)
+            definite += 1
+        else:
+            assert report.determinant is None
+        assert report.negative_definite == (report.determinant is not None)
+    assert 10 <= definite <= 140
+
+
+def test_validate_determinant_follows_definiteness_not_tree_ness():
+    assert validate(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n")).determinant is None
+    forest = validate(PlumbingGraph(vertices=((0, -2), (1, -2), (2, -2)), edges=((1, 2),)))
+    assert not forest.is_tree
+    assert forest.determinant == -6  # -2 times det [[-2, 1], [1, -2]]
+    for g in (CHAIN3, parse_plumbing("v 0 -4\nv 1 -2\nv 2 -2\nv 3 -3\ne 0 1\ne 0 2\ne 0 3\n")):
+        report = validate(g)
+        assert report.determinant == leibniz_det([list(r) for r in gram_matrix(g).entries])
 
 
 def test_validation_report_describe():
