@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from plumbcap.intlin import GramMatrix
 from plumbcap.plumbing import generate_gamma_n, serialize_plumbing
 
 A2_JSON = json.dumps(GramMatrix.from_rows([[-2, 1], [1, -2]]).to_json_dict())
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, name, text):
@@ -304,6 +307,27 @@ def test_stdin_dash(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_readme_examples_hold(monkeypatch, capsys):
+    # Every README block that opens with a "$ " pipeline, run stage by
+    # stage in process; its stdout must be the block's text to the byte.
+    examples = re.findall(r"^```\n\$ ([^\n]*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+    commands = [command for command, _ in examples]
+    assert "plumbcap gamma-n 7 | plumbcap obstruct --no-timings -" in commands
+    assert "plumbcap gamma-n 2 | plumbcap dual --gram-only --json - | plumbcap embed -" in commands
+    for command, expected in examples:
+        out = ""
+        for stage in command.split(" | "):
+            program, *argv = shlex.split(stage)
+            if program == "printf":
+                out = argv[0].replace("\\n", "\n")
+                continue
+            assert program == "plumbcap", command
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            assert cli_main(argv) == 0, command
+            out = capsys.readouterr().out
+        assert out == expected, command
+
+
 def test_console_script_pipeline():
     # Run the [project.scripts] target on both sides of the pipe, so the
     # test needs no installed plumbcap executable.
@@ -324,17 +348,21 @@ HUGE_FRAMING = "v 0 -100000000000000000000\n"  # dual rank 10^20 - 1
 STAR_41 = "v 0 -40\n" + "".join("v %d -2\ne 0 %d\n" % (v, v) for v in range(1, 41))
 
 
-@pytest.mark.parametrize("command, text", [
-    pytest.param(command, HUGE_FRAMING, id=command + "-huge-framing")
+@pytest.mark.parametrize("command, text, flags", [
+    pytest.param(command, HUGE_FRAMING, [], id=command + "-huge-framing")
     for command in ("obstruct", "dual", "openbook")
-] + [pytest.param("wu", STAR_41, id="wu-star-41")])  # 2^39 Wu classes
-def test_oversized_inputs_exit_3_under_a_memory_cap(tmp_path, command, text):
+] + [
+    pytest.param("wu", STAR_41, [], id="wu-star-41"),  # 2^39 Wu classes
+    pytest.param("embed", '{"rank": 1, "labels": ["a"], "gram": [[-1]]}',
+                 ["--rank", "1000000000"], id="embed-huge-rank"),
+])
+def test_oversized_inputs_exit_3_under_a_memory_cap(tmp_path, command, text, flags):
     # Refused before anything sized by them is allocated, so a 1 GB
-    # address-space cap ends neither in MemoryError.
+    # address-space cap ends in no MemoryError.
     path = write(tmp_path, "g.txt", text)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "from plumbcap.cli import main; main()", command, path],
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", command, path] + flags,
         capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
         timeout=120)
     assert proc.returncode == 3, proc.stderr

@@ -84,11 +84,11 @@ def test_known_non_embedding_despite_matching_norms():
 
 def test_budget_interrupts_search():
     q = build_dual(generate_gamma_n(7), 2).gram
-    outcome = embed_diagonal(q, q.rank, 1000)
+    outcome = embed_diagonal(q, q.rank, 100)
     assert outcome.completed is False
     assert outcome.embeddable is None
     assert outcome.witness is None
-    assert outcome.nodes == 1001
+    assert outcome.nodes == 101
 
     with pytest.raises(TypeError):
         embed_diagonal(q, q.rank, "plenty")
@@ -106,17 +106,17 @@ def test_enumeration_order_is_pinned():
     # The gamma-2 witness README prints: rows in order, values high to low.
     q = build_dual(generate_gamma_n(2), 0).gram
     outcome = embed_diagonal(q, q.rank, None)
-    assert outcome.nodes == 1153
+    assert outcome.nodes == 371
     assert outcome.witness == (
-        (0, 0, 1, 0, 0, 0, 0, 1, 0),
-        (0, 0, 1, 0, 0, 0, 0, 0, 1),
-        (2, 1, 1, 0, 0, 0, 0, 0, 0),
-        (1, 2, 1, 0, 0, 0, 0, 0, 0),
-        (1, 1, 1, 1, 1, 1, 0, 0, 0),
-        (1, 1, 1, 1, 1, 0, 1, 0, 0),
-        (1, 1, 0, 1, 0, 0, 0, 1, 1),
-        (1, 1, 0, 0, 1, 0, 0, 1, 1),
-        (1, 1, 0, 0, 0, 1, 1, 1, 1),
+        (1, 1, 0, 0, 0, 0, 0, 0, 0),
+        (1, 0, 1, 0, 0, 0, 0, 0, 0),
+        (1, 0, 0, 2, 1, 0, 0, 0, 0),
+        (1, 0, 0, 1, 2, 0, 0, 0, 0),
+        (1, 0, 0, 1, 1, 1, 1, 1, 0),
+        (1, 0, 0, 1, 1, 1, 1, 0, 1),
+        (0, 1, 1, 1, 1, 1, 0, 0, 0),
+        (0, 1, 1, 1, 1, 0, 1, 0, 0),
+        (0, 1, 1, 1, 1, 0, 0, 1, 1),
     )
 
 
@@ -237,6 +237,48 @@ def test_twin_rows_keep_the_dense_witness():
         assert nodes <= dense_nodes, q.entries
         saved += dense_nodes - nodes
     assert saved > 0
+
+
+def _largest_norm_first(q):
+    """The search order before smallest norm first, as _search_order
+    returns it."""
+    order = sorted(range(q.rank), key=lambda i: (q.entries[i][i], i))
+    return order, [[-q.entries[a][b] for b in order] for a in order]
+
+
+def test_verdict_does_not_depend_on_row_order():
+    # The exactness argument holds for any fixed row order, so the two
+    # orders differ only in node counts and in which witness comes first.
+    graphs = [generate_gamma_n(n) for n in range(2, 9)]
+    rng = random.Random(20261103)
+    graphs += [random_valid_tree(rng) for _ in range(200)]
+    searched = 0
+    for g in graphs:
+        for root in admissible_roots(g):
+            q = build_dual(g, root).gram
+            if not q.rank:
+                continue
+            verdicts = set()
+            for order, target in (_largest_norm_first(q), _search_order(q)):
+                rows, _, completed = _search(target, q.rank, None)
+                verdicts.add((rows is not None, completed))
+                if rows is not None:
+                    witness = [rows[order.index(i)] for i in range(q.rank)]
+                    assert verify_witness(q, witness), q.entries
+            assert len(verdicts) == 1, q.entries
+            searched += 1
+    assert searched > 700
+
+
+@pytest.mark.parametrize("n, nodes", [(7, 414), (12, 494), (15, 542), (40, 942)])
+def test_gamma_n_node_counts(n, nodes):
+    # Smallest norm first: 181,830 nodes for gamma-7 and 3,869,250 for
+    # gamma-15 in the largest-norm-first order.  The budget turns a
+    # regression into a failure rather than a long run.
+    g = generate_gamma_n(n)
+    q = build_dual(g, choose_root(g)).gram
+    outcome = embed_diagonal(q, q.rank, 10 * nodes)
+    assert (outcome.embeddable, outcome.nodes) == (False, nodes)
 
 
 def test_deterministic_node_counts():
