@@ -11,8 +11,10 @@ no rational homology disk.  All arithmetic is exact integer arithmetic.
 from .dualcap import (
     DualConfiguration,
     NoAdmissibleRootError,
+    OpenBookDescription,
     admissible_roots,
     build_dual,
+    build_open_book,
     choose_root,
     string_counts,
 )
@@ -30,11 +32,6 @@ from .intlin import (
     gram_from_json,
     mu_bar,
     wu_classes,
-)
-from .openbook import (
-    OpenBookDescription,
-    TwistCurve,
-    build_open_book,
 )
 from .pipeline import (
     INCONCLUSIVE,
@@ -73,7 +70,6 @@ __all__ = [
     "OpenBookDescription",
     "PlumbingGraph",
     "RootResult",
-    "TwistCurve",
     "UNDECIDED",
     "ValidationFailure",
     "ValidationReport",

@@ -23,10 +23,9 @@ import os
 import sys
 
 from . import pipeline
-from .dualcap import MAX_DUAL_RANK, build_dual, choose_root
+from .dualcap import MAX_DUAL_RANK, build_dual, build_open_book, choose_root
 from .embedder import embed_diagonal
 from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
-from .openbook import build_open_book
 from .plumbing import (
     generate_gamma_n,
     gram_matrix,
@@ -49,10 +48,13 @@ class _UsageError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _UsageError(exc)
 
 
 def _load_graph(path: str):
@@ -104,16 +106,11 @@ def _cmd_gram(args) -> tuple[int, dict | str]:
 
 def _cmd_openbook(args) -> tuple[int, dict | str]:
     book = build_open_book(_load_graph(args.file))
-    if args.json:
-        return EXIT_OK, book.to_json_dict()
-    lines = ["hole %d: vertex %d" % hole for hole in book.holes]
-    for curve in book.curves:
-        holes = " ".join(str(h) for h in curve.holes)
-        if curve.kind == "boundary":
-            lines.append("boundary curve: hole %s" % holes)
-        else:
-            lines.append("edge curve %d-%d: holes %s" % (*curve.edge, holes))
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, book.to_json_dict() if args.json else "\n".join(
+        ["hole %d: vertex %d" % hole for hole in enumerate(book.owners)]
+        + ["boundary curve: hole %d" % h for h in range(len(book.owners))]
+        + ["edge curve %d-%d: holes %s" % (*edge, " ".join(map(str, inside)))
+           for edge, inside in book.edge_curves])
 
 
 def _cmd_dual(args) -> tuple[int, dict | str]:
@@ -265,19 +262,20 @@ def cli_main(argv=None) -> int:
         code, result = args.handler(args)
         print(result if isinstance(result, str)
               else json.dumps(result, indent=2, sort_keys=True))
-        return code
-    except (_UsageError, OSError) as exc:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head -1`).  Point stdout at devnull so
+        # that the interpreter's final flush reports nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _UsageError as exc:
         print("plumbcap: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its key; print the message.
-        print("plumbcap: %s" % exc.args[0], file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         # Every domain error (parse, validation, root, definiteness, spin)
         # is a ValueError, and so is an undecodable input file.
         print("plumbcap: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
+    return code
 
 
 def main() -> None:

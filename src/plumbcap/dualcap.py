@@ -1,12 +1,19 @@
-"""The dual configuration lattice of a plumbing tree.
+"""The planar open book of a plumbing tree and the dual configuration
+lattice read off it.
+
+The page is a sphere with -e_v - d_v holes drilled near each vertex v, and
+the monodromy is the product of right-handed Dehn twists along one parallel
+circle per hole plus one curve per tree edge, which encircles the holes on
+one side of the tree cut at that edge.
 
 Pick a root vertex v with -e_v - d_v > 0.  Every vertex u contributes
 -e_u - d_u braid strings (one fewer at the root).  The braid is one global
 full negative twist of all strings, plus one more full twist per non-root
 vertex w: the twist box of the edge from w to its parent, which holds the
-strings owned in w's subtree.  Those boxes are the open book's edge
-curves, and ``twist_boxes`` lists, for each vertex, the boxes its strings
-pass through: the non-root vertices on its root path.
+strings owned in w's subtree.  Those boxes are the edge curves, each
+stored as its side *away* from the canonical dual root, and ``twist_boxes``
+lists, for each vertex, the boxes its strings pass through: the non-root
+vertices on its root path.
 
 So the dual is -Q = I + B B^T.  B has one all-ones column f_root and one
 column f_w per non-root w, marking the strings in w's subtree.  A string
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlin
-from .plumbing import PlumbingGraph, rooted_tree
+from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
 
 
 # The largest dual rank built.  The dual and the search tables grow as
@@ -62,8 +69,26 @@ class DualConfiguration:
         }
 
 
-def string_counts(g: PlumbingGraph, root: int | None = None) -> dict[int, int]:
-    """-e_v - d_v per vertex, with one string removed at the root.
+@dataclass(frozen=True)
+class OpenBookDescription:
+    """Hole i is owned by vertex ``owners[i]`` and has its own boundary
+    curve; each ``(edge, holes)`` of ``edge_curves`` is the curve of a tree
+    edge and the holes it encircles."""
+
+    owners: tuple[int, ...]
+    edge_curves: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "holes": [{"id": h, "vertex": u} for h, u in enumerate(self.owners)],
+            "curves": [{"kind": "boundary", "holes": [h]} for h in range(len(self.owners))]
+            + [{"kind": "edge", "edge": list(edge), "holes": list(inside)}
+               for edge, inside in self.edge_curves],
+        }
+
+
+def string_counts(g: PlumbingGraph) -> dict[int, int]:
+    """-e_v - d_v per vertex: its holes, and its strings at any other root.
 
     Raises ValueError when the dual rank, the sum of -e_v - d_v less one,
     exceeds MAX_DUAL_RANK, so that nothing sized by it is allocated.
@@ -76,8 +101,6 @@ def string_counts(g: PlumbingGraph, root: int | None = None) -> dict[int, int]:
     rank = sum(counts.values()) - 1
     if rank > MAX_DUAL_RANK:
         raise ValueError("dual rank %d exceeds the bound %d" % (rank, MAX_DUAL_RANK))
-    if root is not None:
-        counts[root] -= 1
     return counts
 
 
@@ -90,13 +113,10 @@ def choose_root(g: PlumbingGraph) -> int:
     so the counts sum to a positive number.
     """
     counts = string_counts(g)
-    best_vertex, best = None, 0
-    for vid in g.ids():
-        if counts[vid] > best:
-            best_vertex, best = vid, counts[vid]
-    if best_vertex is None:
+    best = max(g.ids(), key=counts.get)  # the first maximum: smallest id
+    if counts[best] <= 0:
         raise NoAdmissibleRootError("no vertex has framing deficit -e_v - d_v > 0")
-    return best_vertex
+    return best
 
 
 def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
@@ -114,16 +134,17 @@ def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings for the given root.
 
-    Raises ValueError unless ``g`` is a connected tree, the root is
-    admissible and no vertex has -e_v - d_v < 0.  Those checks accept
-    exactly the graphs ``validate`` accepts, at any admissible root, up
-    to the rank bound that ``string_counts`` enforces.
+    Raises ValueError unless ``g`` is a connected tree, the root is one of
+    its vertices and admissible, and no vertex has -e_v - d_v < 0.  Those
+    checks accept exactly the graphs ``validate`` accepts, at any
+    admissible root, up to the rank bound that ``string_counts`` enforces.
     """
     if root not in set(g.ids()):
-        raise KeyError("no vertex %d" % root)
+        raise ValueError("no vertex %d" % root)
     if len(g.edges) != len(g.ids()) - 1:
         raise ValueError("dual configuration needs a tree")
-    counts = string_counts(g, root=root)
+    counts = string_counts(g)
+    counts[root] -= 1
     if counts[root] < 0:
         raise NoAdmissibleRootError(
             "root %d is not admissible: -e_v - d_v = %d at it"
@@ -150,3 +171,26 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
 def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:
     counts = string_counts(g)
     return tuple(v for v in g.ids() if counts[v] > 0)
+
+
+def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
+    """The open book of a valid graph, holes numbered by ascending owner.
+
+    Raises ValidationFailure unless ``validate(g)`` is all-true, which also
+    guarantees a hole, and ValueError when the dual rank (the holes less
+    one) exceeds MAX_DUAL_RANK.
+    """
+    report = validate(g)
+    if not report.all_ok:
+        raise ValidationFailure(report)
+    counts = string_counts(g)
+    owners = tuple(v for v in g.ids() for _ in range(counts[v]))
+    # The far side of an edge from the canonical dual root (validity
+    # guarantees one) is the subtree of its endpoint with more boxes.
+    boxes = twist_boxes(g, choose_root(g))
+    edge_curves = []
+    for a, b in g.edges:
+        child = max(a, b, key=lambda v: len(boxes[v]))
+        edge_curves.append(((a, b), tuple(
+            h for h, u in enumerate(owners) if child in boxes[u])))
+    return OpenBookDescription(owners=owners, edge_curves=tuple(edge_curves))

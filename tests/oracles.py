@@ -18,9 +18,9 @@ import random
 import time
 from math import isqrt
 
+from plumbcap.dualcap import OpenBookDescription, build_open_book
 from plumbcap.embedder import EmbeddingOutcome
 from plumbcap.intlin import GramMatrix
-from plumbcap.openbook import OpenBookDescription, build_open_book
 from plumbcap.plumbing import PlumbingGraph, validate
 
 
@@ -74,13 +74,13 @@ def box_model_dual_gram(graph: PlumbingGraph, root: int) -> list[list[int]]:
     and the pairing of two strings is minus the number of shared boxes.
     """
     book = build_open_book(graph)
-    ordered = [h for h, _ in book.holes]
-    outer = next(h for h, owner in book.holes if owner == root)
+    ordered = range(len(book.owners))
+    outer = book.owners.index(root)
     strings = [h for h in ordered if h != outer]
     everything = set(ordered)
     boxes = []
-    for curve in book.curves:
-        inside = set(curve.holes)
+    # One boundary curve per hole, then the edge curves.
+    for inside in [{h} for h in ordered] + [set(holes) for _, holes in book.edge_curves]:
         boxes.append(everything - inside if outer in inside else inside)
     n = len(strings)
     rows = [[0] * n for _ in range(n)]
@@ -103,15 +103,11 @@ def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:
     """
     if hole == outer:
         raise ValueError("need two distinct holes")
-    known = {h for h, _ in ob.holes}
+    known = range(len(ob.owners))
     if hole not in known or outer not in known:
         raise KeyError("unknown hole id")
-    crossed = 0
-    for curve in ob.curves:
-        inside = (hole in curve.holes) + (outer in curve.holes)
-        if inside == 1:
-            crossed += 1
-    return crossed
+    # Each hole's own boundary curve holds it and not the other.
+    return 2 + sum((hole in holes) != (outer in holes) for _, holes in ob.edge_curves)
 
 
 def tree_distances(graph: PlumbingGraph, source: int) -> dict[int, int]:

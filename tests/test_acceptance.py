@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from oracles import naive_embed_oracle, random_valid_tree
-from plumbcap.dualcap import build_dual, choose_root, string_counts
+from plumbcap.dualcap import build_dual, build_open_book, choose_root, string_counts
 from plumbcap.embedder import embed_diagonal, verify_witness
 from plumbcap.intlin import (
     GramMatrix,
@@ -23,7 +23,6 @@ from plumbcap.intlin import (
     mu_bar,
     wu_classes,
 )
-from plumbcap.openbook import build_open_book
 from plumbcap.pipeline import INCONCLUSIVE, OBSTRUCTED, qhd_obstruction
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
 
@@ -192,7 +191,7 @@ def test_criterion_8_structural_invariants():
         assert dual.gram.rank == sum(counts.values()) - 1, index
         assert first_sylvester_violation(dual.gram) is None, index
         book = build_open_book(graph)
-        assert len(book.holes) == dual.gram.rank + 1, index
+        assert len(book.owners) == dual.gram.rank + 1, index
     note("criterion 8 PASS: 500 random trees, rank/definiteness/hole-count invariants hold")
 
 

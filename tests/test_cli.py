@@ -57,6 +57,38 @@ def test_missing_file_exits_2(capsys):
     assert "plumbcap:" in capsys.readouterr().err
 
 
+def test_closed_stdout_is_not_an_error():
+    # The reader takes one line and closes the pipe while the command is
+    # still writing its 2.5 MB graph.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", "gamma-n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"v 0 -4\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv, stdin, code, err", [
+    (["obstruct", "--budget-nodes", "-1", "-"], "v 0 -2\n", 2,
+     "node budget must be nonnegative"),
+    (["embed", "--rank", "-1", "-"], A2_JSON, 2, "target rank must be nonnegative"),
+    # A triangle and an isolated vertex: |E| = |V| - 1, yet no tree.
+    (["dual", "-"], "v 0 -3\nv 1 -3\nv 2 -3\nv 3 -2\ne 0 1\ne 1 2\ne 0 2\n", 3,
+     "graph is not connected"),
+    (["validate", "-"], "v 0 -2\ne 0 x\n", 3, "line 2: bad edge endpoint"),
+    (["dual", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
+    (["obstruct", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
+])
+def test_rejected_input_prints_one_message(monkeypatch, capsys, argv, stdin, code, err):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli_main(argv) == code
+    assert capsys.readouterr() == ("", "plumbcap: %s\n" % err)
+
+
 def test_validate_ok(tmp_path, capsys):
     path = write(tmp_path, "g.txt", "v 0 -2\n")
     assert cli_main(["validate", path]) == 0
@@ -159,6 +191,13 @@ def test_embed_prints_certificates(tmp_path, capsys, rank, line):
     path = write(tmp_path, "a2.json", A2_JSON)
     assert cli_main(["embed", path, "--rank", str(rank), "--budget-nodes", "0"]) == 0
     assert capsys.readouterr().out == line
+
+
+def test_embed_prints_searched_refutation(tmp_path, capsys):
+    gram = build_dual(generate_gamma_n(3), 0).gram
+    path = write(tmp_path, "dual.json", json.dumps(gram.to_json_dict()))
+    assert cli_main(["embed", path]) == 0
+    assert capsys.readouterr().out == "not embeddable into <-1>^10 (1144 nodes)\n"
 
 
 def test_embed_budget_exits_4(tmp_path, capsys):

@@ -10,11 +10,11 @@ from plumbcap.dualcap import (
     NoAdmissibleRootError,
     admissible_roots,
     build_dual,
+    build_open_book,
     choose_root,
     string_counts,
 )
 from plumbcap.intlin import determinant, first_sylvester_violation
-from plumbcap.openbook import build_open_book
 from plumbcap.plumbing import (
     PlumbingGraph,
     generate_gamma_n,
@@ -29,7 +29,7 @@ def test_string_counts_gamma_7():
     counts = string_counts(g)
     assert counts == {0: 3, 1: 0, 2: 5, 3: 0, 4: 2, 5: 2, 6: 2,
                       7: 0, 8: 0, 9: 0, 10: 0, 11: 0, 12: 1}
-    assert string_counts(g, root=2)[2] == 4
+    assert build_dual(g, 2).owners.count(2) == 4
 
 
 def test_choose_root_family():
@@ -209,7 +209,7 @@ def test_dual_determinant_is_the_tree_determinant():
 
 def test_build_dual_error_paths():
     g = generate_gamma_n(2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no vertex 99"):
         build_dual(g, 99)
     with pytest.raises(NoAdmissibleRootError):
         build_dual(g, 1)  # -e - d = 0 there
@@ -256,7 +256,7 @@ def test_dual_rank_is_bounded(monkeypatch):
     g = parse_plumbing("v 0 -4\nv 1 -2\ne 0 1\n")  # strings 3 + 1, rank 3
     monkeypatch.setattr(dualcap, "MAX_DUAL_RANK", 3)
     assert build_dual(g, 0).gram.rank == 3
-    assert len(build_open_book(g).holes) == 4
+    assert len(build_open_book(g).owners) == 4
     monkeypatch.setattr(dualcap, "MAX_DUAL_RANK", 2)
     for build in (lambda: build_dual(g, 0), lambda: build_open_book(g)):
         with pytest.raises(ValueError, match="dual rank 3 exceeds the bound 2"):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from oracles import curves_crossed, random_valid_tree, tree_distances
-from plumbcap.dualcap import admissible_roots, build_dual
-from plumbcap.openbook import build_open_book
+from plumbcap.dualcap import admissible_roots, build_dual, build_open_book
 from plumbcap.plumbing import (
     ValidationFailure,
     generate_gamma_n,
@@ -14,7 +13,7 @@ from plumbcap.plumbing import (
 
 def hole_census(book):
     census = {}
-    for _, owner in book.holes:
+    for owner in book.owners:
         census[owner] = census.get(owner, 0) + 1
     return census
 
@@ -22,30 +21,31 @@ def hole_census(book):
 def test_open_book_gamma_7_holes():
     book = build_open_book(generate_gamma_n(7))
     assert hole_census(book) == {0: 3, 2: 5, 4: 2, 5: 2, 6: 2, 12: 1}
-    assert len(book.holes) == 15
+    assert len(book.owners) == 15
 
 
 def test_open_book_curve_inventory():
     g = generate_gamma_n(7)
     book = build_open_book(g)
-    assert len(book.boundary_curves) == len(book.holes)
-    assert len(book.edge_curves) == len(g.edges)
-    for curve in book.boundary_curves:
-        assert curve.kind == "boundary"
-        assert len(curve.holes) == 1
-        assert curve.edge is None
-    for curve in book.edge_curves:
-        assert curve.kind == "edge"
-        assert curve.edge in g.edges
+    # Boundary curves and kinds are derived when the book is printed.
+    curves = book.to_json_dict()["curves"]
+    boundary_curves, edge_curves = curves[:len(book.owners)], curves[len(book.owners):]
+    assert len(edge_curves) == len(book.edge_curves) == len(g.edges)
+    for curve in boundary_curves:
+        assert curve["kind"] == "boundary"
+        assert len(curve["holes"]) == 1
+        assert "edge" not in curve
+    for curve, (edge, _) in zip(edge_curves, book.edge_curves):
+        assert curve["kind"] == "edge"
+        assert edge in g.edges
 
 
 def test_edge_curve_holes_lie_on_one_side():
     g = generate_gamma_n(7)
     book = build_open_book(g)
-    owner = dict(book.holes)
+    owner = dict(enumerate(book.owners))
     adjacency = g.adjacency()
-    for curve in book.edge_curves:
-        a, b = curve.edge
+    for (a, b), holes in book.edge_curves:
         # Component of b once the edge is removed.
         side = {b}
         stack = [b]
@@ -56,8 +56,8 @@ def test_edge_curve_holes_lie_on_one_side():
                     continue
                 side.add(w)
                 stack.append(w)
-        owners = {owner[h] for h in curve.holes}
-        assert owners and (owners <= side or owners.isdisjoint(side)), curve
+        owners = {owner[h] for h in holes}
+        assert owners and (owners <= side or owners.isdisjoint(side)), (a, b)
 
 
 def test_edge_curve_separates_subtree():
@@ -66,11 +66,11 @@ def test_edge_curve_separates_subtree():
     # on that side here.
     g = parse_plumbing("v 0 -4\nv 1 -2\nv 2 -4\ne 0 1\ne 1 2\n")
     book = build_open_book(g)
-    owner = dict(book.holes)
-    for curve in book.edge_curves:
-        owners = {owner[h] for h in curve.holes}
-        assert owners == {2}, curve
-    sizes = sorted(len(c.holes) for c in book.edge_curves)
+    owner = dict(enumerate(book.owners))
+    for edge, holes in book.edge_curves:
+        owners = {owner[h] for h in holes}
+        assert owners == {2}, edge
+    sizes = sorted(len(holes) for _, holes in book.edge_curves)
     assert sizes == [3, 3]
 
 
@@ -80,12 +80,12 @@ def test_chain_end_hole_is_separated_by_n_edge_curves():
     n = 7
     g = generate_gamma_n(n)
     book = build_open_book(g)
-    end_hole = next(h for h, owner in book.holes if owner == n + 5)
-    center_holes = [h for h, owner in book.holes if owner == 2]
+    end_hole = next(h for h, owner in enumerate(book.owners) if owner == n + 5)
+    center_holes = [h for h, owner in enumerate(book.owners) if owner == 2]
     assert center_holes
     for center in center_holes:
-        separating = [c for c in book.edge_curves
-                      if (end_hole in c.holes) != (center in c.holes)]
+        separating = [edge for edge, holes in book.edge_curves
+                      if (end_hole in holes) != (center in holes)]
         assert len(separating) == n
         assert len(separating) == tree_distances(g, 2)[n + 5]
 
@@ -102,14 +102,14 @@ def test_hole_count_is_dual_rank_plus_one():
         book = build_open_book(g)
         roots = admissible_roots(g)
         dual = build_dual(g, roots[0])
-        assert len(book.holes) == dual.gram.rank + 1
+        assert len(book.owners) == dual.gram.rank + 1
 
 
 def test_curves_crossed_is_distance_plus_two():
     g = generate_gamma_n(7)
     book = build_open_book(g)
-    owner = dict(book.holes)
-    holes = [h for h, _ in book.holes]
+    owner = dict(enumerate(book.owners))
+    holes = list(owner)
     depth = {v: tree_distances(g, v) for v in g.ids()}
     for i, a in enumerate(holes):
         for b in holes[i + 1:]:
@@ -126,16 +126,16 @@ def test_curves_crossed_matches_dual_framing():
         root = admissible_roots(g)[0]
         book = build_open_book(g)
         dual = build_dual(g, root)
-        root_holes = [h for h, owner in book.holes if owner == root]
+        root_holes = [h for h, owner in enumerate(book.owners) if owner == root]
         outer = root_holes[0]
         for i, u in enumerate(dual.owners):
-            hole = next(h for h, owner in book.holes if owner == u and h != outer)
+            hole = next(h for h, owner in enumerate(book.owners) if owner == u and h != outer)
             assert curves_crossed(book, hole, outer) == -dual.gram.entries[i][i]
 
 
 def test_curves_crossed_rejects_bad_holes():
     book = build_open_book(generate_gamma_n(2))
-    first = book.holes[0][0]
+    first = 0  # a hole's id is its position in owners
     with pytest.raises(ValueError):
         curves_crossed(book, first, first)
     with pytest.raises(KeyError):
@@ -149,3 +149,16 @@ def test_open_book_json_shape():
     assert doc["holes"] == [{"id": h, "vertex": 0} for h in range(4)]
     assert [c["kind"] for c in doc["curves"]] == ["boundary"] * 4
     assert all("edge" not in c for c in doc["curves"])
+
+    # gamma-2: ten holes, ten boundary curves, then one curve per edge in
+    # edge order, each holding the side away from the default root 0.
+    doc = build_open_book(generate_gamma_n(2)).to_json_dict()
+    owners = [0, 0, 0, 4, 4, 5, 5, 6, 6, 7]
+    sides = {(0, 1): [3, 4, 5, 6, 7, 8, 9], (1, 2): [3, 4, 5, 6, 7, 8, 9],
+             (2, 3): [3, 4, 5, 6], (2, 6): [7, 8, 9], (3, 4): [3, 4],
+             (3, 5): [5, 6], (6, 7): [9]}
+    assert doc == {
+        "holes": [{"id": h, "vertex": v} for h, v in enumerate(owners)],
+        "curves": [{"kind": "boundary", "holes": [h]} for h in range(10)]
+        + [{"kind": "edge", "edge": list(e), "holes": holes} for e, holes in sides.items()],
+    }

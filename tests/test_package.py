@@ -1,3 +1,7 @@
+import importlib
+
+import pytest
+
 import plumbcap
 
 
@@ -9,6 +13,11 @@ def test_every_exported_name_exists():
 
 
 def test_removed_helpers_stay_out_of_the_package():
-    for name in ("DualString", "gram_to_json", "is_negative_definite"):
+    for name in ("DualString", "TwistCurve", "gram_to_json", "is_negative_definite"):
         assert name not in plumbcap.__all__
         assert not hasattr(plumbcap, name)
+
+
+def test_open_book_lives_in_dualcap():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("plumbcap.openbook")
