@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import pipeline
-from .dualcap import MAX_DUAL_RANK, build_dual, build_open_book, choose_root
+from .dualcap import build_dual, build_open_book, choose_root
 from .embedder import embed_diagonal
 from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
 from .plumbing import (
@@ -130,8 +130,6 @@ def _cmd_embed(args) -> tuple[int, dict | str]:
     rank = args.rank if args.rank is not None else q.rank
     if rank < 0:
         raise _UsageError("target rank must be nonnegative")
-    if rank > MAX_DUAL_RANK:
-        raise ValueError("target rank %d exceeds the bound %d" % (rank, MAX_DUAL_RANK))
     outcome = embed_diagonal(q, rank, _resolve_budget(args))
     code = EXIT_OK if outcome.completed else EXIT_BUDGET
     if args.json:

@@ -97,6 +97,7 @@ from math import isqrt
 from operator import mul
 
 from . import intlin
+from .dualcap import MAX_DUAL_RANK
 from .intlin import GramMatrix, NotDefiniteError
 
 
@@ -259,7 +260,8 @@ def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
                    determinant: int | None = None) -> EmbeddingOutcome:
     """Decide whether Q embeds into the rank-r diagonal lattice <-1>^r.
 
-    ``budget`` caps the nodes searched (None: no cap); r >= 0.  Q must be
+    ``budget`` caps the nodes searched (None: no cap); 0 <= r <=
+    MAX_DUAL_RANK, else ValueError before anything is allocated.  Q must be
     negative definite.  Without ``determinant`` that is checked
     (NotDefiniteError otherwise) by the O(r^3) scan that also yields
     |det Q|; a caller that passes ``determinant`` vouches for both it and
@@ -271,6 +273,8 @@ def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
     """
     if r < 0:
         raise ValueError("target rank must be nonnegative")
+    if r > MAX_DUAL_RANK:
+        raise ValueError("target rank %d exceeds the bound %d" % (r, MAX_DUAL_RANK))
     if budget is not None and not isinstance(budget, int):
         raise TypeError("budget must be None or an int node limit")
     if determinant is None:
@@ -306,14 +310,18 @@ def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
 
 
 def verify_witness(q: GramMatrix, m) -> bool:
-    """Independent check that sum_k M[i][k] M[j][k] = -Q[i][j] for all i, j."""
-    rows = [tuple(map(int, row)) for row in m]
-    if len(rows) != q.rank:
-        raise ValueError("witness must have %d rows, got %d" % (q.rank, len(rows)))
+    """Independent check that sum_k M[i][k] M[j][k] = -Q[i][j] for all i, j;
+    ValueError for a witness of the wrong shape or with a non-int entry."""
+    n = q.rank
+    rows = [tuple(row) for row in m]
+    if len(rows) != n:
+        raise ValueError("witness must have %d rows, got %d" % (n, len(rows)))
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("witness rows have unequal lengths")
-    for i in range(q.rank):
-        for j in range(i, q.rank):
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("witness entries must be ints")
+    for i in range(n):
+        for j in range(i, n):
             if sum(map(mul, rows[i], rows[j])) != -q.entries[i][j]:
                 return False
     return True

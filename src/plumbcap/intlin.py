@@ -30,37 +30,38 @@ class NonUniqueSpinError(ValueError):
 class GramMatrix:
     """A labeled symmetric integer matrix.
 
-    ``entries`` is a tuple of row tuples.  Rank 0 (the empty matrix) is
-    allowed: it shows up as the intersection form of a trivial cap and all
-    operations treat it by the usual empty conventions (determinant 1,
-    negative definite, embeds anywhere).
+    ``entries`` is a tuple of row tuples, and ``rank`` is their count.
+    Rank 0 (the empty matrix) is allowed: it shows up as the intersection
+    form of a trivial cap and all operations treat it by the usual empty
+    conventions (determinant 1, negative definite, embeds anywhere).
     """
 
-    rank: int
     labels: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if len(self.labels) != self.rank or len(self.entries) != self.rank:
+        n = len(self.entries)
+        if len(self.labels) != n:
             raise ValueError("labels/entries do not match rank")
-        if len(set(self.labels)) != self.rank:
+        if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
-        for row in self.entries:
-            if len(row) != self.rank:
-                raise ValueError("entries must be square")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("entries must be square")
         if self.entries != tuple(zip(*self.entries)):
-            i, j = next((i, j) for i in range(self.rank) for j in range(i)
+            i, j = next((i, j) for i in range(n) for j in range(i)
                         if self.entries[i][j] != self.entries[j][i])
             raise ValueError("matrix is not symmetric at (%d, %d)" % (i, j))
+
+    @property
+    def rank(self) -> int:
+        return len(self.entries)
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "GramMatrix":
         entries = tuple(tuple(map(int, row)) for row in rows)
         if labels is None:
             labels = tuple(str(i) for i in range(len(entries)))
-        return cls(rank=len(entries), labels=tuple(labels), entries=entries)
+        return cls(labels=tuple(labels), entries=entries)
 
     def to_json_dict(self) -> dict:
         """The JSON document gram_from_json reads back."""
@@ -151,14 +152,10 @@ def first_sylvester_violation(q: GramMatrix, minors: list[int] | None = None) ->
     return None
 
 
-def _satisfies_wu(q: GramMatrix, bits) -> bool:
-    for i in range(q.rank):
-        acc = 0
-        for k in range(q.rank):
-            acc ^= (q.entries[i][k] & 1) & bits[k]
-        if acc != (q.entries[i][i] & 1):
-            return False
-    return True
+def _satisfies_wu(masks: list[int], diag: list[int], bits: int) -> bool:
+    """Whether ``bits`` solves Q w = diag(Q) mod 2, Q given by its rows mod
+    2 as bitmasks."""
+    return all((mask & bits).bit_count() & 1 == d for mask, d in zip(masks, diag))
 
 
 def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
@@ -167,20 +164,18 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
 
     The system is always solvable for a symmetric matrix, and the solution
     count is 2^(nullity of Q mod 2); it is a singleton exactly when det(Q)
-    is odd.  The solutions are a particular one p plus the span of a
-    kernel basis b_1, b_2, ...; since the system is linear, checking p and
-    every p + b_i checks every class.  Raises ValueError before listing
-    when 2^nullity * rank exceeds MAX_WU_BITS.
+    is odd.  Q mod 2 is read once, as row bitmasks and diag(Q) mod 2.  The
+    solutions are a particular one p plus the span of a kernel basis b_1,
+    b_2, ...; since the system is linear, checking p and every p + b_i
+    checks every class.  Raises ValueError before listing when
+    2^nullity * rank exceeds MAX_WU_BITS.
     """
     n = q.rank
+    masks = [sum(1 << k for k, x in enumerate(row) if x & 1) for row in q.entries]
+    diag = [row[i] & 1 for i, row in enumerate(q.entries)]
     # Row-reduce [mask | rhs] with rows as bitmasks.
     reduced: list[tuple[int, int, int]] = []  # (pivot column, mask, rhs)
-    for i in range(n):
-        mask = 0
-        for k in range(n):
-            if q.entries[i][k] & 1:
-                mask |= 1 << k
-        rhs = q.entries[i][i] & 1
+    for mask, rhs in zip(masks, diag):
         for pcol, pmask, prhs in reduced:
             if (mask >> pcol) & 1:
                 mask ^= pmask
@@ -205,18 +200,15 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
             bits |= (prhs ^ ((pmask & bits).bit_count() & 1)) << pcol
         return bits
 
-    def as_tuple(bits: int) -> tuple[int, ...]:
-        return tuple((bits >> k) & 1 for k in range(n))
-
     # p, then p + b_i for the free column i of each basis vector b_i.
     checked = [solve(0)] + [solve(1 << col) for col in range(n) if col not in pivot_cols]
     for bits in checked:
-        if not _satisfies_wu(q, as_tuple(bits)):
+        if not _satisfies_wu(masks, diag, bits):
             raise RuntimeError("Wu class solver produced a vector that does not verify")
     classes = checked[:1]
     for bits in checked[1:]:
         classes += [c ^ bits ^ checked[0] for c in classes]
-    return sorted(map(as_tuple, classes))
+    return sorted(tuple((bits >> k) & 1 for k in range(n)) for bits in classes)
 
 
 def mu_bar(q: GramMatrix, w: tuple[int, ...] | None = None) -> int:
@@ -238,11 +230,5 @@ def mu_bar(q: GramMatrix, w: tuple[int, ...] | None = None) -> int:
             raise NonUniqueSpinError(
                 "mu_bar needs odd determinant; the determinant is %d" % minors[-1])
         w = wu_classes(q)[0]
-    wqw = 0
-    for i in range(q.rank):
-        if not w[i]:
-            continue
-        for j in range(q.rank):
-            if w[j]:
-                wqw += q.entries[i][j]
-    return -q.rank - wqw
+    support = [i for i, bit in enumerate(w) if bit]
+    return -q.rank - sum(q.entries[i][j] for i in support for j in support)

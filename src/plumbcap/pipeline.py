@@ -59,7 +59,8 @@ class RootResult:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Everything the obstruction run established about one graph."""
+    """Everything the obstruction run established about one graph; the
+    tree form's determinant is ``validation.determinant``."""
 
     graph: PlumbingGraph
     validation: ValidationReport
@@ -73,10 +74,6 @@ class ObstructionReport:
     def verdict(self) -> str:
         return _combine([r.verdict for r in self.results])
 
-    @property
-    def det_gram(self) -> int:
-        return self.validation.determinant
-
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
             "graph": {
@@ -85,7 +82,7 @@ class ObstructionReport:
                 "framings": [[v, f] for v, f in self.graph.vertices],
             },
             "validation": self.validation.to_json_dict(),
-            "gram_determinant": self.det_gram,
+            "gram_determinant": self.validation.determinant,
             "dual_rank": self.dual_rank,
             "roots": [r.to_json_dict(include_timings) for r in self.results],
             "verdict": self.verdict,
@@ -165,7 +162,7 @@ def render_report(report: ObstructionReport, include_timings: bool = True) -> st
         "graph: %d vertices, %d edges" % (
             len(report.graph.vertices), len(report.graph.edges)),
         "validation: %s" % report.validation.describe(),
-        "intersection form determinant: %d" % report.det_gram,
+        "intersection form determinant: %d" % report.validation.determinant,
         "dual configuration rank: %d" % report.dual_rank,
     ]
     for result in report.results:

@@ -17,6 +17,10 @@ from . import intlin
 _ID_RE = re.compile(r"^[0-9]+$")
 _FRAMING_RE = re.compile(r"^-?[0-9]+$")
 
+# The most vertices whose V x V forms are built: under a 1 GB address-space
+# cap, `gram --json` on a chain of this many vertices peaks at about 400 MB.
+MAX_VERTICES = 2048
+
 
 class GraphFormatError(ValueError):
     """A malformed graph document; ``line`` is the 1-based offending line."""
@@ -42,7 +46,8 @@ class PlumbingGraph:
 
     Vertices are stored ascending by id and edges as (lo, hi) pairs in
     lexicographic order, so structural equality and serialization are
-    canonical.  Self-loops, duplicate edges and edges to unknown ids are
+    canonical.  Ids, framings and endpoints that are not ints (bools
+    included), self-loops, duplicate edges and edges to unknown ids are
     rejected at construction; tree-ness is a *validation* property, not a
     construction one, so forests and cycles can be represented and then
     reported on.
@@ -52,6 +57,8 @@ class PlumbingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if any(type(x) is not int for pair in (*self.vertices, *self.edges) for x in pair):
+            raise ValueError("vertex ids, framings and edge endpoints must be ints")
         ids = [v for v, _ in self.vertices]
         if not ids:
             raise ValueError("a plumbing graph needs at least one vertex")
@@ -71,7 +78,7 @@ class PlumbingGraph:
                 raise ValueError("duplicate edge (%d, %d)" % key)
             seen.add(key)
         object.__setattr__(
-            self, "vertices", tuple(sorted((int(v), int(e)) for v, e in self.vertices)))
+            self, "vertices", tuple(sorted((v, e) for v, e in self.vertices)))
         object.__setattr__(
             self, "edges", tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges)))
 
@@ -196,10 +203,12 @@ def gram_matrix(g: PlumbingGraph) -> intlin.GramMatrix:
     """The intersection form: framings on the diagonal, 1 per edge.
 
     Rows/columns follow ascending vertex id; labels are the ids as strings.
-    """
+    Raises ValueError above MAX_VERTICES vertices, before allocating."""
     ids = g.ids()
-    index = {vid: i for i, vid in enumerate(ids)}
     n = len(ids)
+    if n > MAX_VERTICES:
+        raise ValueError("vertex count %d exceeds the bound %d" % (n, MAX_VERTICES))
+    index = {vid: i for i, vid in enumerate(ids)}
     rows = [[0] * n for _ in range(n)]
     for i, (vid, e) in enumerate(g.vertices):
         rows[i][i] = e

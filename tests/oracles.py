@@ -9,6 +9,8 @@ no symmetry reduction.  ``curves_crossed`` reads string framings off the
 open book page, for comparison with the dual configuration,
 ``tree_distances`` counts edges by relaxing them until nothing changes,
 and ``dense_search`` is the embedding search without twin rows.
+``lens_d`` is a lattice-free check from Heegaard Floer theory: the
+d-invariants of a lens space, which a rational ball filling constrains.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from fractions import Fraction
 from math import isqrt
 
 from plumbcap.dualcap import OpenBookDescription, build_open_book
@@ -284,3 +287,23 @@ def dense_search(target: list[list[int]], r: int, max_nodes: int | None):
                 hi = x[i][k - 1]
             low[i][k] = 0 if k >= fresh[i] else -top
             x[i][k] = hi + 1
+
+
+def lens_d(p: int, q: int, i: int) -> Fraction:
+    """d(L(p, q), i) for 0 < q < p coprime and 0 <= i < p + q, by
+    Ozsvath-Szabo's recursion (Adv. Math. 173, 2003):
+    d(L(p, q), i) = -1/4 + (2i + 1 - p - q)^2 / (4pq) - d(L(q, p mod q), i mod q),
+    with d = 0 on L(1, q), the sphere."""
+    if p == 1:
+        return Fraction(0)
+    return (Fraction(-1, 4) + Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q)
+            - lens_d(q, p % q, i % q))
+
+
+def d_allows_rational_ball(p: int, q: int) -> bool:
+    """The d-invariant test for L(p, q) to bound a rational ball: p = m^2
+    and d vanishes on a coset of the order-m subgroup of Z/p.  The test
+    only obstructs; passing it proves nothing."""
+    m = isqrt(p)
+    return m * m == p and any(
+        all(lens_d(p, q, i + m * k) == 0 for k in range(m)) for i in range(m))

@@ -46,3 +46,5 @@ def test_traced_obstruct_counts_one_dual_and_one_witness(tmp_path, capsys):
     metrics = tracing.layer_metrics(tracer.spans)
     assert (metrics["dualcap.duals"], metrics["embedder.calls"],
             metrics["embedder.witnesses"]) == (1, 1, 1)
+    # The tracer reads GramMatrix.rank, a property, for each definiteness scan.
+    assert metrics["intlin.sylvester_ops"] > 0

@@ -18,7 +18,7 @@ from plumbcap import pipeline
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
 from plumbcap.intlin import GramMatrix
-from plumbcap.plumbing import generate_gamma_n, serialize_plumbing
+from plumbcap.plumbing import MAX_VERTICES, generate_gamma_n, serialize_plumbing
 
 A2_JSON = json.dumps(GramMatrix.from_rows([[-2, 1], [1, -2]]).to_json_dict())
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -387,11 +387,23 @@ HUGE_FRAMING = "v 0 -100000000000000000000\n"  # dual rank 10^20 - 1
 STAR_41 = "v 0 -40\n" + "".join("v %d -2\ne 0 %d\n" % (v, v) for v in range(1, 41))
 
 
+def chain(n: int) -> str:
+    """A path of n vertices framed -3, -2, ..., -2, -3: dual rank 3."""
+    framings = [-3] + [-2] * (n - 2) + [-3]
+    return "".join("v %d %d\n" % v for v in enumerate(framings)) + "".join(
+        "e %d %d\n" % (v, v + 1) for v in range(n - 1))
+
+
 @pytest.mark.parametrize("command, text, flags", [
     pytest.param(command, HUGE_FRAMING, [], id=command + "-huge-framing")
     for command in ("obstruct", "dual", "openbook")
 ] + [
     pytest.param("wu", STAR_41, [], id="wu-star-41"),  # 2^39 Wu classes
+] + [
+    # A small dual rank, but V x V forms and root paths.
+    pytest.param(command, chain(20000), [], id=command + "-chain-20000")
+    for command in ("obstruct", "validate", "gram", "dual", "openbook", "wu", "mubar")
+] + [
     pytest.param("embed", '{"rank": 1, "labels": ["a"], "gram": [[-1]]}',
                  ["--rank", "1000000000"], id="embed-huge-rank"),
 ])
@@ -407,6 +419,26 @@ def test_oversized_inputs_exit_3_under_a_memory_cap(tmp_path, command, text, fla
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("plumbcap: ") and "exceeds the bound" in proc.stderr
+
+
+def test_a_chain_at_the_vertex_bound_runs_dual_under_a_memory_cap(tmp_path):
+    path = write(tmp_path, "g.txt", chain(MAX_VERTICES))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", "dual", path],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["root: 0", "u0#0: vertex 0, distance 0, framing -2"]
+    assert proc.stdout.count("vertex %d," % (MAX_VERTICES - 1)) == 2
+
+
+def test_invalid_budget_is_reported_before_an_oversized_rank(tmp_path, capsys, monkeypatch):
+    # embed_diagonal refuses the rank, so the budget is resolved first.
+    path = write(tmp_path, "q.json", A2_JSON)
+    monkeypatch.setenv("PLUMBCAP_BUDGET_NODES", "lots")
+    assert cli_main(["embed", path, "--rank", "1000000000"]) == 2
+    assert "PLUMBCAP_BUDGET_NODES" in capsys.readouterr().err
 
 
 # The bounds keep each example fast, not safe: framings in the thousands

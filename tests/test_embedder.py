@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import plumbcap
 from oracles import dense_search, naive_embed_oracle, random_valid_tree
-from plumbcap.dualcap import admissible_roots, build_dual, choose_root
+from plumbcap.dualcap import MAX_DUAL_RANK, admissible_roots, build_dual, choose_root
 from plumbcap.embedder import _search, _search_order, embed_diagonal, verify_witness
 from plumbcap.intlin import GramMatrix, NotDefiniteError, first_sylvester_violation
 from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
@@ -44,6 +44,32 @@ def test_verify_witness_rejects_bad_shapes():
         verify_witness(A2, [(1, 0, 0)])
     with pytest.raises(ValueError):
         verify_witness(A2, [(1, 0), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("entry", [1.9, "1", True])
+def test_verify_witness_rejects_non_integer_entries(entry):
+    # int() would turn each into 1, a valid embedding of <-1>.
+    with pytest.raises(ValueError, match="must be ints"):
+        verify_witness(GramMatrix.from_rows([[-1]]), [[entry]])
+
+
+def test_verify_witness_rejects_non_integers_under_optimized_python():
+    script = (
+        "from plumbcap.embedder import verify_witness\n"
+        "from plumbcap.intlin import GramMatrix\n"
+        "print(verify_witness(GramMatrix.from_rows([[-1]]), [[1.9]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode != 0, proc.stdout
+    assert "ValueError: witness entries must be ints" in proc.stderr
+
+
+def test_target_rank_is_bounded_before_the_search_allocates():
+    q = GramMatrix.from_rows([[-1]])
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        embed_diagonal(q, MAX_DUAL_RANK + 1, None)
+    assert embed_diagonal(q, MAX_DUAL_RANK, None).witness == ((1,) + (0,) * (MAX_DUAL_RANK - 1),)
 
 
 def test_minus_four_embeds_from_rank_one_up():

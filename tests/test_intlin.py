@@ -50,9 +50,9 @@ def test_gram_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         GramMatrix.from_rows([[-2, 1], [1, -2]], labels=["x", "x"])
     with pytest.raises(ValueError):
-        GramMatrix(rank=-1, labels=(), entries=())
+        GramMatrix(labels=("a", "b"), entries=((-2,),))
     with pytest.raises(ValueError):
-        GramMatrix(rank=2, labels=("a",), entries=((-2,),))
+        GramMatrix(labels=("a",), entries=((-2, 0),))
 
 
 def test_rank_zero_conventions():
@@ -185,7 +185,7 @@ def test_wu_check_survives_optimized_python():
     # Under -O an assert would vanish and a bad Wu class would be returned.
     script = (
         "import plumbcap.intlin as m\n"
-        "m._satisfies_wu = lambda q, bits: False\n"
+        "m._satisfies_wu = lambda *args: False\n"
         "print(m.wu_classes(m.GramMatrix.from_rows([[-3]])))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -1,6 +1,10 @@
+import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+
+from oracles import d_allows_rational_ball, lens_d
 
 import plumbcap.intlin
 from plumbcap.embedder import verify_witness
@@ -28,7 +32,7 @@ def test_single_minus_two_is_obstructed():
     report = qhd_obstruction(parse_plumbing(SINGLE_2))
     assert report.verdict == OBSTRUCTED
     assert report.dual_rank == 1
-    assert report.det_gram == -2
+    assert report.validation.determinant == -2
     assert report.results[0].root == 0
     assert report.results[0].outcome.completed
     assert report.wu_support is None and report.mu_bar is None  # even det
@@ -46,7 +50,7 @@ def test_single_minus_four_is_inconclusive_with_witness():
 
 def test_single_minus_three_carries_wu_data():
     report = qhd_obstruction(parse_plumbing("v 0 -3\n"))
-    assert report.det_gram == -3
+    assert report.validation.determinant == -3
     assert report.wu_support == (0,)
     assert report.mu_bar == 2
     assert report.verdict == OBSTRUCTED
@@ -105,7 +109,7 @@ def test_gamma_7_report():
     report = qhd_obstruction(generate_gamma_n(7))
     assert report.verdict == OBSTRUCTED
     assert report.dual_rank == 14
-    assert report.det_gram == -21609
+    assert report.validation.determinant == -21609
     assert report.wu_support == (3, 6, 8, 10, 12)
     assert report.mu_bar == 0
     assert len(report.graph.vertices) == 13 and len(report.graph.edges) == 12
@@ -169,3 +173,26 @@ def test_lisca_lens_spaces_are_never_obstructed():
                 graphs += 1
                 roots += len(report.results)
     assert (graphs, roots) == (82, 219)
+
+
+def test_lisca_family_passes_the_d_invariant_test():
+    """Vets the ground truth above with Ozsvath-Szabo's d-invariant, which
+    knows nothing of lattices: every pair test_lisca_lens_spaces_are_never_obstructed
+    walks has p = m^2 and d = 0 on a coset of the order-m subgroup.  d only
+    obstructs, so it never cross-checks an obstructed verdict."""
+    # RP^3 = L(2, 1) has d-invariants 1/4 and -1/4.
+    assert [lens_d(2, 1, i) for i in range(2)] == [Fraction(1, 4), Fraction(-1, 4)]
+    pairs = [(m * m, q) for m in range(2, 12) for k in range(1, m) if gcd(m, k) == 1
+             for q in (m * k - 1, m * m - m * k + 1)]
+    assert len(pairs) == 82
+    assert all(d_allows_rational_ball(p, q) for p, q in pairs)
+    # The test has teeth: random square-p lens spaces fail it about half
+    # the time (60 of these 130 pass).
+    rng = random.Random(1)
+    sample = []
+    while len(sample) < 130:
+        m = rng.randint(2, 19)
+        q = rng.randint(1, m * m - 1)
+        if gcd(m, q) == 1:
+            sample.append((m * m, q))
+    assert sum(d_allows_rational_ball(p, q) for p, q in sample) == 60

@@ -41,6 +41,18 @@ def test_graph_rejects_bad_structure():
         PlumbingGraph(vertices=((0, -2), (1, -2)), edges=((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (((0, -2.9),), ()),  # once truncated to -2, and proven obstructed as v 0 -2
+    (((0, True), (1.5, -2)), ()),
+    (((0, "-2"),), ()),
+    (((0, -2), (1, -2)), ((0, 1.0),)),
+    (((0, -2), (1, -2)), ((False, 1),)),
+])
+def test_graph_rejects_non_integers(vertices, edges):
+    with pytest.raises(ValueError, match="must be ints"):
+        PlumbingGraph(vertices=vertices, edges=edges)
+
+
 def test_parse_round_trip():
     text = "# comment\n\nv 0 -4\nv 1 -2\ne 0 1\n"
     g = parse_plumbing(text)
