@@ -10,8 +10,12 @@ stages compose by piping, for example::
 Exit codes: 0 success, 1 only with --fail-on-inconclusive when the run
 does not obstruct, 2 usage errors and unreadable files, 3 malformed or
 invalid input (parse errors, failed validation, missing preconditions),
-4 exhausted search budget.  JSON output is requested with --json and is
-deterministic once --no-timings removes the wall-clock fields.
+4 exhausted search budget.  JSON output is requested with --json: one
+document on one line, keys sorted, deterministic once --no-timings
+removes the wall-clock fields (``python3 -m json.tool`` indents it for
+reading).  A search's ``nodes`` counts a forced zero tail, the zeros
+that finish a row whose norm is used up, as part of the node that used
+it up (see ``embedder``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .dualcap import build_dual, build_open_book, choose_root
 from .embedder import embed_diagonal
 from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
 from .plumbing import (
+    MAX_VERTICES,
     generate_gamma_n,
     gram_matrix,
     parse_plumbing,
@@ -184,6 +189,9 @@ def _cmd_obstruct(args) -> tuple[int, dict | str]:
 def _cmd_gamma_n(args) -> tuple[int, dict | str]:
     if args.n < 2:
         raise _UsageError("gamma-n needs n >= 2")
+    if args.n + 6 > MAX_VERTICES:
+        # gamma-n has n + 6 vertices, more than every other subcommand takes.
+        raise _UsageError("gamma-n needs n <= %d" % (MAX_VERTICES - 6))
     # Less the final newline, which cli_main prints.
     return EXIT_OK, serialize_plumbing(generate_gamma_n(args.n))[:-1]
 
@@ -246,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="exit 1 unless the run obstructs")
 
     sub = command("gamma-n", _cmd_gamma_n, "emit the n-th built-in family graph")
-    sub.add_argument("n", type=int, help="family index, n >= 2")
+    sub.add_argument("n", type=int, help="family index, 2 <= n <= %d" % (MAX_VERTICES - 6))
     return parser
 
 
@@ -258,8 +266,9 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, result = args.handler(args)
+        # One line: json.dumps with an indent skips json's C encoder.
         print(result if isinstance(result, str)
-              else json.dumps(result, indent=2, sort_keys=True))
+              else json.dumps(result, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early (`| head -1`).  Point stdout at devnull so

@@ -63,18 +63,32 @@ enters row i and tried highest p first, which is decreasing lex order;
 each candidate tried is one node.  (Inside a run x[i-1] never steps up,
 so the runs alone already keep every twin row below its twin.)
 
+Two skips spare the coordinate walk values it would try and reject,
+or zeros it would be forced to place.  A value v at (i, k) that fails
+Cauchy-Schwarz against a placed row j with no norm left after k leaves
+that row's inner product to coordinate k alone, so only
+v' = need_j / x[j][k] can pass: the search tries v' next when it is an
+integer below v, and otherwise backtracks at once.  A value that uses
+up the row's norm leaves every inner product 0, so the rest of the row
+is zeros, written at once and counted in the node of that value; but
+when coordinate k + 1 is tied to k and v < 0, the run would step up
+from v to 0, so v is rejected instead.
+
 This is exact.  The coordinate walk tries rows in decreasing lex order,
 so its first witness is the row-major lex-max embedding L over all
 embeddings: L is the largest of its orbit under signed column
 permutations, hence in the canonical form above.  Swapping twins i - 1
 and i of L gives another embedding, no larger, so L keeps the twin
 order, and every row of an embedding that keeps the runs, the untouched
-suffix and the twin order is a candidate.  L is therefore still the first witness, a
-search without one still covers every canonical embedding, and node
-counts can only fall: the walk spends at least one node on every
-complete row it reaches.  Twins are detected inside the search, after
-the certificates below, so a certified form pays nothing for them.
-None of this depends on which fixed order the rows take.
+suffix and the twin order is a candidate.  The two skips pass over only
+values the walk would reject and zeros it would be forced to, and the
+accepted values come in the same order.  L is therefore still the first
+witness, a search without one still covers every canonical embedding,
+and node counts can only fall: the walk spends at least one node on
+every complete row it reaches and on every value a skip passes over.
+Twins are detected inside the search, after the certificates below, so
+a certified form pays nothing for them.  None of this depends on which
+fixed order the rows take.
 
 The enumeration order is fixed, so the verdict, the node count and the
 witness are all reproducible run to run.
@@ -109,7 +123,8 @@ class EmbeddingOutcome:
     (``completed`` False), and JSON carries it as null; otherwise whether
     a witness was found, final for the given target rank.  ``nodes``
     counts what the search tried, a coordinate value, or a whole twin
-    row, and is deterministic;
+    row, and is deterministic; a forced zero tail is part of the node
+    whose value used up the row's norm;
     ``millis`` is wall-clock and is not.  ``certificate`` names what
     ruled the embedding out without a search, "rank" or "determinant",
     and is None when the search decided; with "determinant",
@@ -228,19 +243,33 @@ def _search(target: list[list[int]], r: int, max_nodes: int | None):
         for j, need in enumerate(needs[i][k]):
             need -= v * x[j][k]
             if need * need > left * rem[j][k + 1]:
+                if not rem[j][k + 1]:
+                    # Row j is zero after k, so only v + need / x[j][k]
+                    # can pass here: try it next if it is an integer below
+                    # v; else no value left at k can, and -rem - 1 is out
+                    # of range.
+                    a = x[j][k]
+                    if a and not need % a and need // a < 0:
+                        x[i][k] = v + need // a + 1
+                    else:
+                        x[i][k] = -rem[i][k]
                 break
             ahead.append(need)
         else:
-            if k + 1 < r:
-                k += 1
-            elif left:
-                continue
-            elif i + 1 == n:
-                return x, nodes, True
-            else:
+            if not left:
+                if k + 1 < r:
+                    if v < 0 and tied[i][k + 1]:
+                        continue  # the run would step up from v to 0
+                    # Every need left is 0: the rest of the row is zeros.
+                    rem[i][k + 1:r] = x[i][k + 1:] = [0] * (r - k - 1)
+                if i + 1 == n:
+                    return x, nodes, True
                 i, k = i + 1, 0
                 begin(i, x[i - 1])
                 continue
+            if k + 1 == r:
+                continue
+            k += 1
             rem[i][k], needs[i][k] = left, ahead
             hi = isqrt(left)
             if tied[i][k] and x[i][k - 1] < hi:

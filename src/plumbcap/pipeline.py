@@ -118,10 +118,10 @@ def qhd_obstruction(
     the graph is not a negative definite tree with reduced fundamental
     cycle; the failure carries the validation report.
     """
+    started = time.monotonic()
     report = validate(graph)
     if not report.all_ok:
         raise ValidationFailure(report)
-    started = time.monotonic()
     if root is not None:
         roots = [root]
     elif all_roots:

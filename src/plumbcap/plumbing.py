@@ -18,7 +18,7 @@ _ID_RE = re.compile(r"^[0-9]+$")
 _FRAMING_RE = re.compile(r"^-?[0-9]+$")
 
 # The most vertices whose V x V forms are built: under a 1 GB address-space
-# cap, `gram --json` on a chain of this many vertices peaks at about 400 MB.
+# cap, `gram --json` on a chain of this many vertices peaks at about 115 MB.
 MAX_VERTICES = 2048
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plumbcap
-from plumbcap import pipeline
+from plumbcap import cli, pipeline
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
 from plumbcap.intlin import GramMatrix
@@ -57,14 +57,15 @@ def test_missing_file_exits_2(capsys):
     assert "plumbcap:" in capsys.readouterr().err
 
 
-def test_closed_stdout_is_not_an_error():
+def test_closed_stdout_is_not_an_error(tmp_path):
     # The reader takes one line and closes the pipe while the command is
-    # still writing its 2.5 MB graph.
+    # still writing its 3.2 MB dual (rank 1024).
+    path = write(tmp_path, "g.txt", "v 0 -1025\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-c", "from plumbcap.cli import main; main()", "gamma-n", "100000"],
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", "dual", path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"v 0 -4\n"
+    assert proc.stdout.readline() == b"root: 0\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -87,6 +88,31 @@ def test_rejected_input_prints_one_message(monkeypatch, capsys, argv, stdin, cod
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli_main(argv) == code
     assert capsys.readouterr() == ("", "plumbcap: %s\n" % err)
+
+
+JSON_COMMANDS = (
+    ["validate"], ["gram"], ["openbook"], ["dual"], ["dual", "--gram-only"],
+    ["embed", "--no-timings"], ["wu"], ["wu", "--gram"], ["mubar"], ["mubar", "--gram"],
+    ["obstruct", "--no-timings"],
+)
+
+
+def sorted_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_is_one_line_of_the_handlers_document(tmp_path, capsys, argv):
+    takes_gram = argv[0] == "embed" or "--gram" in argv
+    path = write(tmp_path, "in.txt", A2_JSON if takes_gram else "v 0 -3\nv 1 -2\ne 0 1\n")
+    argv = argv + [path, "--json"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    args = cli._build_parser().parse_args(argv)
+    assert json.loads(out, object_pairs_hook=sorted_keys) == args.handler(args)[1]
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -197,7 +223,7 @@ def test_embed_prints_searched_refutation(tmp_path, capsys):
     gram = build_dual(generate_gamma_n(3), 0).gram
     path = write(tmp_path, "dual.json", json.dumps(gram.to_json_dict()))
     assert cli_main(["embed", path]) == 0
-    assert capsys.readouterr().out == "not embeddable into <-1>^10 (1144 nodes)\n"
+    assert capsys.readouterr().out == "not embeddable into <-1>^10 (880 nodes)\n"
 
 
 def test_embed_budget_exits_4(tmp_path, capsys):
@@ -227,11 +253,16 @@ def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
 
 
 def test_embed_deep_search_exits_0(tmp_path, capsys):
-    path = write(tmp_path, "q.json", json.dumps(GramMatrix.from_rows([[-1]]).to_json_dict()))
-    assert cli_main(["embed", path, "--rank", "1200", "--json", "--no-timings"]) == 0
+    # A_100 in <-1>^101: its walk goes 5,150 positions deep.
+    n = 100
+    a_chain = [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "q.json", json.dumps(GramMatrix.from_rows(a_chain).to_json_dict()))
+    assert cli_main(["embed", path, "--rank", str(n + 1), "--json", "--no-timings"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == {"embeddable": True, "nodes": 1200, "completed": True,
-                   "witness": [[1] + [0] * 1199]}
+    witness = doc.pop("witness")
+    assert doc == {"embeddable": True, "nodes": 10395, "completed": True}
+    assert witness[:2] == [[1, 1] + [0] * (n - 1), [0, -1, 1] + [0] * (n - 2)]
+    assert witness[-1] == [0] * (n - 1) + [-1, 1]
 
 
 def test_embed_rejects_indefinite_gram(tmp_path, capsys):
@@ -419,6 +450,23 @@ def test_oversized_inputs_exit_3_under_a_memory_cap(tmp_path, command, text, fla
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("plumbcap: ") and "exceeds the bound" in proc.stderr
+
+
+@pytest.mark.parametrize("n, code", [
+    (MAX_VERTICES - 6, 0), (MAX_VERTICES - 5, 2), (50000000, 2)])
+def test_gamma_n_is_bounded_by_the_vertex_bound_under_a_memory_cap(n, code):
+    # gamma-n has n + 6 vertices; past the bound it is a usage error, as
+    # n = 1 is, before the graph is built.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", "gamma-n", str(n)],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == "plumbcap: gamma-n needs n <= %d\n" % (MAX_VERTICES - 6)
+    else:
+        assert proc.stdout.count("v ") == MAX_VERTICES
 
 
 def test_a_chain_at_the_vertex_bound_runs_dual_under_a_memory_cap(tmp_path):

@@ -121,18 +121,23 @@ def test_budget_interrupts_search():
 
 
 def test_deep_search_does_not_recurse():
-    # One position per coordinate: 1,200 of them, past the recursion limit.
-    outcome = embed_diagonal(GramMatrix.from_rows([[-1]]), 1200, None)
-    assert outcome.embeddable is True
-    assert outcome.nodes == 1200
-    assert outcome.witness == ((1,) + (0,) * 1199,)
+    # A_100 in <-1>^101: row i walks coordinates 0..i + 1 before its zero
+    # tail, 5,150 positions deep, past the recursion limit.
+    n = 100
+    q = GramMatrix.from_rows([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                              for i in range(n)])
+    outcome = embed_diagonal(q, n + 1, None)
+    assert (outcome.embeddable, outcome.nodes) == (True, 10395)
+    # The lex-max embedding: e_0 + e_1, then e_(i+1) - e_i.
+    assert outcome.witness == ((1, 1) + (0,) * (n - 1),) + tuple(
+        (0,) * i + (-1, 1) + (0,) * (n - 1 - i) for i in range(1, n))
 
 
 def test_enumeration_order_is_pinned():
     # The gamma-2 witness README prints: rows in order, values high to low.
     q = build_dual(generate_gamma_n(2), 0).gram
     outcome = embed_diagonal(q, q.rank, None)
-    assert outcome.nodes == 371
+    assert outcome.nodes == 287
     assert outcome.witness == (
         (1, 1, 0, 0, 0, 0, 0, 0, 0),
         (1, 0, 1, 0, 0, 0, 0, 0, 0),
@@ -171,10 +176,10 @@ def test_single_vertex_dual_node_counts(framing, embeddable, nodes, witness):
 
 
 @pytest.mark.parametrize("framing, embeddable, nodes, witness", [
-    (-4, True, 5, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
-    (-33, False, 126, None),
-    (-65, False, 254, None),
-    (-97, False, 382, None),
+    (-4, True, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1))),
+    (-33, False, 96, None),
+    (-65, False, 192, None),
+    (-97, False, 288, None),
 ])
 def test_single_vertex_dual_twin_node_counts(framing, embeddable, nodes, witness):
     # The enumerator itself, on the target embed_diagonal would search.
@@ -188,7 +193,7 @@ def test_single_vertex_dual_twin_node_counts(framing, embeddable, nodes, witness
 
 
 @pytest.mark.parametrize("framing, embeddable, nodes, witness, certificate", [
-    (-4, True, 5, ((1, 1, 0), (1, 0, 1), (0, 1, 1)), None),
+    (-4, True, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1)), None),
     (-33, False, 0, None, "determinant"),
     (-65, False, 0, None, "determinant"),
     (-97, False, 0, None, "determinant"),
@@ -265,6 +270,20 @@ def test_twin_rows_keep_the_dense_witness():
     assert saved > 0
 
 
+def test_zero_tail_never_steps_up_a_run():
+    # The first row in search order is (1, 1, 1, 0).  The second uses up
+    # its norm 5 at (1, -2), on a coordinate tied to the next, where a
+    # zero tail would step the run up from -2 to 0.  Rejecting that value
+    # keeps 54 nodes; zero-filling the row anyway takes 69, more than the
+    # dense walk's 68.
+    q = GramMatrix.from_rows([[-5, 1, 2], [1, -3, -2], [2, -2, -5]])
+    order, target = _search_order(q)
+    assert dense_search(target, 4, None)[1] == 68
+    outcome = embed_diagonal(q, 4, None)
+    assert outcome.nodes == 54
+    assert outcome.witness == ((0, 0, -1, 2), (1, 1, 1, 0), (2, 0, 0, -1))
+
+
 def _largest_norm_first(q):
     """The search order before smallest norm first, as _search_order
     returns it."""
@@ -296,7 +315,7 @@ def test_verdict_does_not_depend_on_row_order():
     assert searched > 700
 
 
-@pytest.mark.parametrize("n, nodes", [(7, 414), (12, 494), (15, 542), (40, 942)])
+@pytest.mark.parametrize("n, nodes", [(7, 313), (12, 388), (15, 433), (40, 808)])
 def test_gamma_n_node_counts(n, nodes):
     # Smallest norm first: 181,830 nodes for gamma-7 and 3,869,250 for
     # gamma-15 in the largest-norm-first order.  The budget turns a
@@ -526,6 +545,26 @@ def test_property_twin_pairs_match_oracle(q, data):
     assert mine.embeddable == naive_embed_oracle(q, r).embeddable
     if mine.embeddable:
         assert verify_witness(q, mine.witness)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(small_definite_forms(), forms_with_a_twin_pair()), st.integers(1, 3), st.data())
+def test_property_skips_keep_the_dense_walk(q, extra, data):
+    # Above the form's rank no certificate applies, so the search decides:
+    # its skips must leave the coordinate walk's verdict and first witness,
+    # through no more nodes, and a budget still stops one node past it.
+    assume(q.rank)
+    r = q.rank + extra
+    order, target = _search_order(q)
+    rows, dense_nodes, completed = dense_search(target, r, None)
+    assert completed is True
+    outcome = embed_diagonal(q, r, None)
+    witness = rows and tuple(tuple(rows[order.index(i)]) for i in range(q.rank))
+    assert (outcome.completed, outcome.witness) == (True, witness)
+    assert 0 < outcome.nodes <= dense_nodes
+    budget = data.draw(st.integers(0, outcome.nodes - 1))
+    cut = embed_diagonal(q, r, budget)
+    assert (cut.completed, cut.embeddable, cut.nodes) == (False, None, budget + 1)
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import d_allows_rational_ball, lens_d
 
 import plumbcap.intlin
+import plumbcap.pipeline
 from plumbcap.embedder import verify_witness
 from plumbcap.intlin import GramMatrix
 from plumbcap.pipeline import (
@@ -129,6 +131,17 @@ def test_report_json_shape_and_timing_toggle():
     bare = report.to_json_dict(include_timings=False)
     assert "total_millis" not in bare
     assert "millis" not in bare["roots"][0]["outcome"]
+
+
+def test_total_millis_counts_validation(monkeypatch):
+    validate = plumbcap.pipeline.validate
+
+    def slow_validate(graph):
+        time.sleep(0.05)
+        return validate(graph)
+
+    monkeypatch.setattr(plumbcap.pipeline, "validate", slow_validate)
+    assert qhd_obstruction(parse_plumbing(SINGLE_4)).total_millis >= 50
 
 
 def test_render_report_text():
