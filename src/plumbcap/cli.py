@@ -39,8 +39,6 @@ from .plumbing import (
     validate,
 )
 
-ENV_BUDGET_NODES = "PLUMBCAP_BUDGET_NODES"
-
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_USAGE = 2
@@ -73,18 +71,9 @@ def _load_gram(args) -> GramMatrix:
 
 
 def _resolve_budget(args) -> int | None:
-    nodes = args.budget_nodes
-    if nodes is None:
-        raw = os.environ.get(ENV_BUDGET_NODES)
-        if raw is not None and raw.strip():
-            try:
-                nodes = int(raw)
-            except ValueError:
-                raise _UsageError(
-                    "%s must be an integer, got %r" % (ENV_BUDGET_NODES, raw))
-    if nodes is not None and nodes < 0:
+    if args.budget_nodes is not None and args.budget_nodes < 0:
         raise _UsageError("node budget must be nonnegative")
-    return nodes
+    return args.budget_nodes
 
 
 def _render_gram(q: GramMatrix) -> str:
@@ -212,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--gram", action="store_true",
                       help="input is a gram JSON file instead of a graph")
     search.add_argument("--budget-nodes", type=int, default=None,
-                        help="node budget (default: $%s or unlimited)" % ENV_BUDGET_NODES)
+                        help="node budget (default: unlimited)")
     search.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock fields from the output")
 

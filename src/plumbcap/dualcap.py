@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlin
-from .plumbing import MAX_VERTICES, PlumbingGraph, ValidationFailure, rooted_tree, validate
+from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
 
 
 # The largest dual rank built.  The dual and the search tables grow as
@@ -123,9 +123,7 @@ def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
     """Each vertex reachable from ``root`` with the twist boxes around its
     strings: the non-root vertices on its root path.  The box of w is the
     edge curve between w and its parent, which encloses the holes owned
-    in w's subtree.  Raises ValueError above MAX_VERTICES vertices."""
-    if len(g.vertices) > MAX_VERTICES:
-        raise ValueError("vertex count %d exceeds the bound %d" % (len(g.vertices), MAX_VERTICES))
+    in w's subtree."""
     parent, order = rooted_tree(g, root)
     boxes = {root: frozenset()}
     for v in order[1:]:

@@ -289,23 +289,26 @@ def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
                    determinant: int | None = None) -> EmbeddingOutcome:
     """Decide whether Q embeds into the rank-r diagonal lattice <-1>^r.
 
-    ``budget`` caps the nodes searched (None: no cap); 0 <= r <=
-    MAX_DUAL_RANK, else ValueError before anything is allocated.  Q must be
-    negative definite.  Without ``determinant`` that is checked
-    (NotDefiniteError otherwise) by the O(r^3) scan that also yields
-    |det Q|; a caller that passes ``determinant`` vouches for both it and
-    definiteness, and no scan runs.  With an exhausted budget the outcome
-    has completed=False and no verdict; otherwise the decision is
-    complete, and a positive verdict carries a witness already re-checked
-    by verify_witness.  A rank or determinant certificate decides before
-    the search, so before the budget applies, with 0 nodes.
+    ``budget`` caps the nodes searched: None (no cap) or an int >= 0, else
+    TypeError or ValueError; 0 <= r <= MAX_DUAL_RANK, else ValueError
+    before anything is allocated.  Q must be negative definite.  Without
+    ``determinant`` that is checked (NotDefiniteError otherwise) by the
+    O(r^3) scan that also yields |det Q|; a caller that passes
+    ``determinant`` vouches for both it and definiteness, and no scan
+    runs.  With an exhausted budget the outcome has completed=False and
+    no verdict; otherwise the decision is complete, and a positive verdict
+    carries a witness already re-checked by verify_witness.  A rank or
+    determinant certificate decides before the search, so before the
+    budget applies, with 0 nodes.
     """
     if r < 0:
         raise ValueError("target rank must be nonnegative")
     if r > MAX_DUAL_RANK:
         raise ValueError("target rank %d exceeds the bound %d" % (r, MAX_DUAL_RANK))
-    if budget is not None and not isinstance(budget, int):
+    if budget is not None and type(budget) is not int:
         raise TypeError("budget must be None or an int node limit")
+    if budget is not None and budget < 0:
+        raise ValueError("node budget must be nonnegative")
     if determinant is None:
         minors = [1]  # so that rank 0 has determinant 1
         # Through the module, as plumbing.validate does, so that a wrapper

@@ -10,6 +10,7 @@ three properties separately so callers can explain rejections.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
 
 from . import intlin
@@ -17,16 +18,14 @@ from . import intlin
 _ID_RE = re.compile(r"^[0-9]+$")
 _FRAMING_RE = re.compile(r"^-?[0-9]+$")
 
-# The most vertices whose V x V forms are built: under a 1 GB address-space
-# cap, `gram --json` on a chain of this many vertices peaks at about 115 MB.
 MAX_VERTICES = 2048
 
 
 class GraphFormatError(ValueError):
-    """A malformed graph document; ``line`` is the 1-based offending line."""
+    """A malformed graph, at 1-based document ``line`` or ``position`` in vertices + edges."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, position: int | None = None):
+        self.line, self.position = line, position
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
@@ -46,11 +45,11 @@ class PlumbingGraph:
 
     Vertices are stored ascending by id and edges as (lo, hi) pairs in
     lexicographic order, so structural equality and serialization are
-    canonical.  Ids, framings and endpoints that are not ints (bools
-    included), self-loops, duplicate edges and edges to unknown ids are
-    rejected at construction; tree-ness is a *validation* property, not a
-    construction one, so forests and cycles can be represented and then
-    reported on.
+    canonical.  Construction refuses, in this order, non-int (or bool)
+    entries, no vertices, a negative or repeated id, self-loops, edges to
+    unknown ids, duplicate edges and too many vertices;
+    tree-ness is a *validation* property, so forests and cycles can be
+    represented and then reported on.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -58,29 +57,37 @@ class PlumbingGraph:
 
     def __post_init__(self):
         if any(type(x) is not int for pair in (*self.vertices, *self.edges) for x in pair):
-            raise ValueError("vertex ids, framings and edge endpoints must be ints")
+            raise GraphFormatError("vertex ids, framings and edge endpoints must be ints")
         ids = [v for v, _ in self.vertices]
         if not ids:
-            raise ValueError("a plumbing graph needs at least one vertex")
-        if any(v < 0 for v in ids):
-            raise ValueError("vertex ids must be nonnegative")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex id")
-        known = set(ids)
+            raise GraphFormatError("no vertices declared")
+        for i, v in enumerate(ids):
+            if v < 0:
+                raise GraphFormatError("negative vertex id %d" % v, position=i)
+        known: set[int] = set()
+        for i, v in enumerate(ids):
+            if v in known:
+                raise GraphFormatError("duplicate vertex id %d" % v, position=i)
+            known.add(v)
         seen = set()
-        for a, b in self.edges:
+        for i, (a, b) in enumerate(self.edges, start=len(ids)):
             if a == b:
-                raise ValueError("self-loop at vertex %d" % a)
+                raise GraphFormatError("self-loop at vertex %d" % a, position=i)
             if a not in known or b not in known:
-                raise ValueError("edge (%d, %d) references unknown id" % (a, b))
+                raise GraphFormatError(
+                    "edge to unknown id %d" % (b if a in known else a), position=i)
             key = (min(a, b), max(a, b))
             if key in seen:
-                raise ValueError("duplicate edge (%d, %d)" % key)
+                raise GraphFormatError("duplicate edge (%d, %d)" % key, position=i)
             seen.add(key)
+        # The most vertices whose V x V forms are built: `gram --json` on a
+        # chain of this many peaks at about 115 MB under a 1 GB address cap.
+        if len(ids) > MAX_VERTICES:
+            raise GraphFormatError(
+                "vertex count %d exceeds the bound %d" % (len(ids), MAX_VERTICES))
         object.__setattr__(
             self, "vertices", tuple(sorted((v, e) for v, e in self.vertices)))
-        object.__setattr__(
-            self, "edges", tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     def ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.vertices)
@@ -143,12 +150,11 @@ def parse_plumbing(text: str) -> PlumbingGraph:
     Blank lines and lines starting with ``#`` are ignored.  ``v <id>
     <framing>`` declares a vertex (ids decimal nonnegative, framings decimal
     with optional leading ``-``); ``e <id> <id>`` declares an undirected
-    edge.  Errors carry the offending line number; non-tree structure is
-    *not* an error here, it is reported by ``validate``.
+    edge.  Token errors come in scan order, then what ``PlumbingGraph``
+    refuses; each carries its line unless it is about the whole document.
+    Non-tree structure is *not* an error here; ``validate`` reports it.
     """
-    vertices: list[tuple[int, int]] = []
-    ids: set[int] = set()
-    edge_lines: list[tuple[int, int, int]] = []
+    found: dict[str, list[tuple[int, int, int]]] = {"v": [], "e": []}  # (line, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,35 +167,25 @@ def parse_plumbing(text: str) -> PlumbingGraph:
                 raise GraphFormatError("bad vertex id %r" % tokens[1], lineno)
             if not _FRAMING_RE.match(tokens[2]):
                 raise GraphFormatError("bad framing %r" % tokens[2], lineno)
-            vid = int(tokens[1])
-            if vid in ids:
-                raise GraphFormatError("duplicate vertex id %d" % vid, lineno)
-            ids.add(vid)
-            vertices.append((vid, int(tokens[2])))
         elif tokens[0] == "e":
             if len(tokens) != 3:
                 raise GraphFormatError("expected 'e <id> <id>'", lineno)
             if not _ID_RE.match(tokens[1]) or not _ID_RE.match(tokens[2]):
                 raise GraphFormatError("bad edge endpoint", lineno)
-            edge_lines.append((lineno, int(tokens[1]), int(tokens[2])))
         else:
             raise GraphFormatError("unknown directive %r" % tokens[0], lineno)
-    if not vertices:
-        raise GraphFormatError("no vertices declared")
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, a, b in edge_lines:
-        if a == b:
-            raise GraphFormatError("self-loop at vertex %d" % a, lineno)
-        if a not in ids or b not in ids:
-            missing = a if a not in ids else b
-            raise GraphFormatError("edge to unknown id %d" % missing, lineno)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphFormatError("duplicate edge (%d, %d)" % key, lineno)
-        seen.add(key)
-        edges.append(key)
-    return PlumbingGraph(vertices=tuple(vertices), edges=tuple(edges))
+        try:
+            found[tokens[0]].append((lineno, int(tokens[1]), int(tokens[2])))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise GraphFormatError("integer with more than %d digits"
+                                   % sys.get_int_max_str_digits(), lineno) from None
+    try:
+        return PlumbingGraph(vertices=tuple(v[1:] for v in found["v"]),
+                             edges=tuple(e[1:] for e in found["e"]))
+    except GraphFormatError as exc:
+        if exc.position is None:
+            raise
+        raise GraphFormatError(str(exc), (found["v"] + found["e"])[exc.position][0]) from None
 
 
 def serialize_plumbing(g: PlumbingGraph) -> str:
@@ -202,12 +198,9 @@ def serialize_plumbing(g: PlumbingGraph) -> str:
 def gram_matrix(g: PlumbingGraph) -> intlin.GramMatrix:
     """The intersection form: framings on the diagonal, 1 per edge.
 
-    Rows/columns follow ascending vertex id; labels are the ids as strings.
-    Raises ValueError above MAX_VERTICES vertices, before allocating."""
+    Rows/columns follow ascending vertex id; labels are the ids as strings."""
     ids = g.ids()
     n = len(ids)
-    if n > MAX_VERTICES:
-        raise ValueError("vertex count %d exceeds the bound %d" % (n, MAX_VERTICES))
     index = {vid: i for i, vid in enumerate(ids)}
     rows = [[0] * n for _ in range(n)]
     for i, (vid, e) in enumerate(g.vertices):

@@ -356,21 +356,6 @@ def test_obstruct_builds_only_the_requested_form(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == expected
 
 
-def test_budget_env_variable(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "g.txt", serialize_plumbing(generate_gamma_n(7)))
-    monkeypatch.setenv("PLUMBCAP_BUDGET_NODES", "10")
-    assert cli_main(["obstruct", path]) == 4
-    capsys.readouterr()
-
-    monkeypatch.setenv("PLUMBCAP_BUDGET_NODES", "lots")
-    assert cli_main(["obstruct", path]) == 2
-    assert "PLUMBCAP_BUDGET_NODES" in capsys.readouterr().err
-
-    # An explicit flag wins over a broken environment value.
-    assert cli_main(["obstruct", path, "--budget-nodes", "10"]) == 4
-    capsys.readouterr()
-
-
 def test_stdin_dash(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("v 0 -2\n"))
     assert cli_main(["validate", "-"]) == 0
@@ -481,12 +466,28 @@ def test_a_chain_at_the_vertex_bound_runs_dual_under_a_memory_cap(tmp_path):
     assert proc.stdout.count("vertex %d," % (MAX_VERTICES - 1)) == 2
 
 
-def test_invalid_budget_is_reported_before_an_oversized_rank(tmp_path, capsys, monkeypatch):
+def test_an_oversized_integer_is_refused_with_its_line(monkeypatch, capsys):
+    text = "v 0 -2\nv 1 -%s\ne 0 1\n" % ("9" * 5000)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli_main(["validate", "-"]) == 3
+    assert capsys.readouterr().err.startswith("plumbcap: line 2:")
+
+
+def test_dual_reports_the_vertex_bound_before_the_rank_bound(monkeypatch, capsys):
+    # 3,000 vertices framed -2 would make a dual of rank 5,999, past its
+    # bound too; the graph is refused first, as every graph command does.
+    text = "".join("v %d -2\n" % v for v in range(3000))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli_main(["dual", "-"]) == 3
+    assert capsys.readouterr() == (
+        "", "plumbcap: vertex count 3000 exceeds the bound %d\n" % MAX_VERTICES)
+
+
+def test_invalid_budget_is_reported_before_an_oversized_rank(tmp_path, capsys):
     # embed_diagonal refuses the rank, so the budget is resolved first.
     path = write(tmp_path, "q.json", A2_JSON)
-    monkeypatch.setenv("PLUMBCAP_BUDGET_NODES", "lots")
-    assert cli_main(["embed", path, "--rank", "1000000000"]) == 2
-    assert "PLUMBCAP_BUDGET_NODES" in capsys.readouterr().err
+    assert cli_main(["embed", path, "--rank", "1000000000", "--budget-nodes", "-1"]) == 2
+    assert capsys.readouterr().err == "plumbcap: node budget must be nonnegative\n"
 
 
 # The bounds keep each example fast, not safe: framings in the thousands

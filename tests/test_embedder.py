@@ -120,6 +120,16 @@ def test_budget_interrupts_search():
         embed_diagonal(q, q.rank, "plenty")
 
 
+@pytest.mark.parametrize("budget, error", [
+    (-5, ValueError), (-1, ValueError), (True, TypeError), (False, TypeError)])
+def test_budget_must_be_a_nonnegative_int(budget, error):
+    # Refused before the certificates: A2 at rank 1 is decided by rank,
+    # at rank 2 by its determinant 3.
+    for r in (3, 2, 1):
+        with pytest.raises(error):
+            embed_diagonal(A2, r, budget)
+
+
 def test_deep_search_does_not_recurse():
     # A_100 in <-1>^101: row i walks coordinates 0..i + 1 before its zero
     # tail, 5,150 positions deep, past the recursion limit.

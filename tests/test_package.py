@@ -1,4 +1,7 @@
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,11 @@ def test_removed_helpers_stay_out_of_the_package():
 def test_open_book_lives_in_dualcap():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("plumbcap.openbook")
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    for path in sorted((root / "src" / "plumbcap").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=tuple(map(int, floor)))

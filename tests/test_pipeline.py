@@ -101,6 +101,11 @@ def test_budget_exhaustion_is_undecided():
     assert report.results[0].outcome.completed is False
 
 
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="node budget must be nonnegative"):
+        qhd_obstruction(generate_gamma_n(3), budget=-1)
+
+
 def test_combined_verdict_priorities():
     assert _combine([OBSTRUCTED, INCONCLUSIVE, UNDECIDED]) == OBSTRUCTED
     assert _combine([INCONCLUSIVE, UNDECIDED]) == UNDECIDED

@@ -1,9 +1,14 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import leibniz_det, nd_by_minors, random_valid_tree, tree_distances
+from test_cli import graph_documents
 from plumbcap.plumbing import (
+    MAX_VERTICES,
     GraphFormatError,
     PlumbingGraph,
     generate_gamma_n,
@@ -39,6 +44,47 @@ def test_graph_rejects_bad_structure():
         PlumbingGraph(vertices=((0, -2),), edges=((0, 1),))
     with pytest.raises(ValueError):
         PlumbingGraph(vertices=((0, -2), (1, -2)), edges=((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("vertices, edges, message, position", [
+    ((), ((0, 1),), "no vertices declared", None),
+    (((0, -2), (-3, -2)), (), "negative vertex id -3", 1),
+    (((0, -2), (1, -2), (0, -3)), (), "duplicate vertex id 0", 2),
+    (((0, -2), (1, -2)), ((0, 1), (1, 1)), "self-loop at vertex 1", 3),
+    (((0, -2), (1, -2)), ((0, 1), (1, 5)), "edge to unknown id 5", 3),
+    (((0, -2), (1, -2)), ((0, 1), (1, 0)), "duplicate edge (0, 1)", 3),
+    # Rules apply in that order: types, emptiness, then sign before
+    # repeats, and per edge loop, ends, repeats.
+    (((True, -2),), (), "vertex ids, framings and edge endpoints must be ints", None),
+    (((0, -2), (0, -2), (-1, -2)), (), "negative vertex id -1", 2),
+    (((0, -2), (0, -2)), ((0, 0),), "duplicate vertex id 0", 1),
+    (((0, -2),), ((5, 5),), "self-loop at vertex 5", 1),
+    (((0, -2),), ((5, 6),), "edge to unknown id 5", 1),
+    (((0, -2),), ((0, 6), (0, 0)), "edge to unknown id 6", 1),
+])
+def test_graph_refuses_each_rule_with_its_position(vertices, edges, message, position):
+    with pytest.raises(GraphFormatError) as info:
+        PlumbingGraph(vertices=vertices, edges=edges)
+    assert str(info.value) == message
+    assert (info.value.position, info.value.line) == (position, None)
+
+
+def test_vertex_bound_is_checked_where_a_graph_is_built():
+    vertices = tuple((v, -2) for v in range(MAX_VERTICES + 1))
+    lines = ["v %d -2\n" % v for v, _ in vertices]
+    text = "".join(lines)
+    assert len(PlumbingGraph(vertices[:-1], ()).vertices) == MAX_VERTICES
+    assert len(parse_plumbing("".join(lines[:-1])).vertices) == MAX_VERTICES
+    message = "vertex count %d exceeds the bound %d" % (MAX_VERTICES + 1, MAX_VERTICES)
+    for build in (lambda: PlumbingGraph(vertices, ()), lambda: parse_plumbing(text)):
+        with pytest.raises(GraphFormatError) as info:
+            build()
+        assert (str(info.value), info.value.line) == (message, None)
+    # Every structural rule comes first.
+    with pytest.raises(GraphFormatError, match="duplicate vertex id 0"):
+        PlumbingGraph(vertices + ((0, -2),), ())
+    with pytest.raises(GraphFormatError, match="line %d: self-loop" % (MAX_VERTICES + 2)):
+        parse_plumbing(text + "e 0 0\n")
 
 
 @pytest.mark.parametrize("vertices, edges", [
@@ -87,6 +133,63 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_empty_document():
     with pytest.raises(GraphFormatError):
         parse_plumbing("# nothing here\n\n")
+
+
+def test_token_faults_come_before_structural_ones():
+    # The duplicate id on line 2 is found only once every line is read.
+    with pytest.raises(GraphFormatError, match="^line 3: bad framing 'x'$"):
+        parse_plumbing("v 0 -2\nv 0 -3\nv 1 x\n")
+
+
+NINES = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("text", [
+    "v 0 -2\nv 1 -%s\ne 0 1\n" % NINES,  # framing
+    "v 0 -2\nv %s -2\n" % NINES,          # vertex id
+    "v 0 -2\ne 0 %s\n" % NINES,           # edge endpoint
+])
+def test_oversized_integer_tokens_keep_their_line(text):
+    with pytest.raises(GraphFormatError) as info:
+        parse_plumbing(text)
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: integer with more than %d digits" % (len(NINES) - 1)
+
+
+def _token_lists(text: str):
+    """The vertex and edge lists of a document and the line of each, or
+    None when some line has a bad token."""
+    found = {"v": [], "e": []}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 3 or tokens[0] not in found or not re.fullmatch(
+                "[0-9]+ -?[0-9]+" if tokens[0] == "v" else "[0-9]+ [0-9]+",
+                " ".join(tokens[1:])):
+            return None
+        found[tokens[0]].append((lineno, (int(tokens[1]), int(tokens[2]))))
+    return ([pair for _, pair in found["v"]], [pair for _, pair in found["e"]],
+            [lineno for key in "ve" for lineno, _ in found[key]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(graph_documents())
+def test_property_parse_refuses_exactly_what_the_graph_refuses(text):
+    lists = _token_lists(text)
+    if lists is None:
+        return
+    vertices, edges, lines = lists
+    try:
+        expected = PlumbingGraph(vertices=tuple(vertices), edges=tuple(edges))
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as info:
+            parse_plumbing(text)
+        line = None if exc.position is None else lines[exc.position]
+        message = str(exc) if line is None else "line %d: %s" % (line, exc)
+        assert (info.value.line, str(info.value)) == (line, message)
+    else:
+        assert parse_plumbing(text) == expected
 
 
 def test_serialize_is_canonical():
