@@ -1,5 +1,9 @@
 """The planar open book of a plumbing tree and the dual configuration
-lattice read off it.
+lattice read off it, under Gay-Stipsicz's hypothesis (a rational surface
+singularity with reduced fundamental cycle): on a tree, every string count
+-e_v - d_v is >= 0 and one is positive.  Then -Q_T = I + B^T B below, so
+these are exactly the graphs ``validate`` accepts (see ``choose_root``),
+and ``_checked_counts`` decides them in O(V).
 
 The page is a sphere with -e_v - d_v holes drilled near each vertex v, and
 the monodromy is the product of right-handed Dehn twists along one parallel
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlin
-from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
+from .plumbing import PlumbingGraph, rooted_tree
 
 
 # The largest dual rank built.  The dual and the search tables grow as
@@ -131,32 +135,34 @@ def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
     return boxes
 
 
-def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
-    """Strings, framings and pairwise linkings for the given root.
-
-    Raises ValueError unless ``g`` is a connected tree, the root is one of
-    its vertices and admissible, and no vertex has -e_v - d_v < 0.  Those
-    checks accept exactly the graphs ``validate`` accepts, at any
-    admissible root, up to the rank bound that ``string_counts`` enforces.
-    """
+def _checked_counts(g: PlumbingGraph, root: int):
+    """``string_counts(g)`` and ``twist_boxes(g, root)``; raises ValueError
+    unless ``g`` meets the hypothesis above and ``root`` is admissible."""
     if root not in set(g.ids()):
         raise ValueError("no vertex %d" % root)
     if len(g.edges) != len(g.ids()) - 1:
         raise ValueError("dual configuration needs a tree")
     counts = string_counts(g)
-    counts[root] -= 1
-    if counts[root] < 0:
+    if counts[root] <= 0:
         raise NoAdmissibleRootError(
-            "root %d is not admissible: -e_v - d_v = %d at it"
-            % (root, counts[root] + 1))
+            "root %d is not admissible: -e_v - d_v = %d at it" % (root, counts[root]))
     for v in g.ids():
         if counts[v] < 0:
-            raise ValueError("vertex %d: framing smaller than valency "
-                             "(-e_v - d_v = %d)" % (v, counts[v]))
+            e = g.framing_map()[v]
+            raise ValueError("vertex %d: %s (-e_v - d_v = %d)" % (
+                v, "framing %d is positive" % e if e > 0
+                else "framing smaller than valency", counts[v]))
     boxes = twist_boxes(g, root)
     if len(boxes) != len(counts):
         raise ValueError("graph is not connected")
+    return counts, boxes
 
+
+def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
+    """Strings, framings and pairwise linkings at ``root``; raises
+    ValueError as ``_checked_counts`` does."""
+    counts, boxes = _checked_counts(g, root)
+    counts[root] -= 1
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
     labels = ["u%d#%d" % (v, k) for v in g.ids() for k in range(counts[v])]
     # Q[i][j] = -delta_ij - 1 - |boxes(u_i) & boxes(u_j)|, one row per owner.
@@ -174,20 +180,12 @@ def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:
 
 
 def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
-    """The open book of a valid graph, holes numbered by ascending owner.
-
-    Raises ValidationFailure unless ``validate(g)`` is all-true, which also
-    guarantees a hole, and ValueError when the dual rank (the holes less
-    one) exceeds MAX_DUAL_RANK.
-    """
-    report = validate(g)
-    if not report.all_ok:
-        raise ValidationFailure(report)
-    counts = string_counts(g)
+    """The open book, holes numbered by ascending owner.  Raises ValueError
+    as ``build_dual(g, choose_root(g))`` does, with the same words."""
+    counts, boxes = _checked_counts(g, choose_root(g))
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
-    # The far side of an edge from the canonical dual root (validity
-    # guarantees one) is the subtree of its endpoint with more boxes.
-    boxes = twist_boxes(g, choose_root(g))
+    # The far side of an edge from the canonical dual root is the subtree
+    # of its endpoint with more boxes.
     edge_curves = []
     for a, b in g.edges:
         child = max(a, b, key=lambda v: len(boxes[v]))

@@ -9,6 +9,7 @@ so the answers are exact no matter how large the determinants grow.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 
@@ -79,6 +80,11 @@ def gram_from_json(text: str) -> GramMatrix:
         doc = json.loads(text)
     except RecursionError as exc:
         raise ValueError("gram JSON is nested too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError("gram JSON has an integer with more than %d digits"
+                         % sys.get_int_max_str_digits()) from None
     try:
         rank = doc["rank"]
         labels = doc["labels"]

@@ -11,6 +11,8 @@ open book page, for comparison with the dual configuration,
 and ``dense_search`` is the embedding search without twin rows.
 ``lens_d`` is a lattice-free check from Heegaard Floer theory: the
 d-invariants of a lens space, which a rational ball filling constrains.
+``plumbing_lattice_embeds`` is the classical lattice test, which the cap's
+dual lattice is claimed to sharpen.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from fractions import Fraction
 from math import isqrt
 
 from plumbcap.dualcap import OpenBookDescription, build_open_book
-from plumbcap.embedder import EmbeddingOutcome
+from plumbcap.embedder import EmbeddingOutcome, embed_diagonal
 from plumbcap.intlin import GramMatrix
-from plumbcap.plumbing import PlumbingGraph, validate
+from plumbcap.plumbing import PlumbingGraph, gram_matrix, validate
 
 
 def leibniz_det(rows) -> int:
@@ -307,3 +309,11 @@ def d_allows_rational_ball(p: int, q: int) -> bool:
     m = isqrt(p)
     return m * m == p and any(
         all(lens_d(p, q, i + m * k) == 0 for k in range(m)) for i in range(m))
+
+
+def plumbing_lattice_embeds(g: PlumbingGraph) -> EmbeddingOutcome:
+    """Donaldson's test on the plumbing itself: if its boundary bounds a
+    rational homology ball B, then P and -B close up to a negative definite
+    manifold, so the tree form Q_T embeds in <-1>^V.  ``.embeddable`` of
+    the result is the verdict; the search runs with no budget."""
+    return embed_diagonal(gram_matrix(g), len(g.vertices), None)

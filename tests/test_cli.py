@@ -83,6 +83,13 @@ def test_closed_stdout_is_not_an_error(tmp_path):
     (["validate", "-"], "v 0 -2\ne 0 x\n", 3, "line 2: bad edge endpoint"),
     (["dual", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
     (["obstruct", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
+] + [
+    # One check decides whether a graph has a cap, for both commands.
+    ([command, "-"], text, 3, err) for command in ("openbook", "dual") for text, err in (
+        ("v 0 -3\nv 1 -3\nv 2 -3\ne 0 1\ne 1 2\ne 0 2\n", "dual configuration needs a tree"),
+        ("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n",
+         "vertex 0: framing smaller than valency (-e_v - d_v = -1)"),
+        ("v 0 -1\nv 1 -1\ne 0 1\n", "no vertex has framing deficit -e_v - d_v > 0"))
 ])
 def test_rejected_input_prints_one_message(monkeypatch, capsys, argv, stdin, code, err):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -181,14 +188,15 @@ def test_dual_without_admissible_root_exits_3(tmp_path, capsys):
 
 
 def test_dual_rejects_negative_string_counts(tmp_path, capsys):
-    # validate rejects both: vertex 0's framing is smaller than its valency.
-    for text, count in (("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n", -1),
-                        ("v 0 2\nv 1 -9\ne 0 1\n", -3)):
+    # validate rejects both: the first as vertex 0's framing is smaller
+    # than its valency, the second as its framing 2 is not negative definite.
+    for text, fault in (("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n",
+                         "framing smaller than valency (-e_v - d_v = -1)"),
+                        ("v 0 2\nv 1 -9\ne 0 1\n",
+                         "framing 2 is positive (-e_v - d_v = -3)")):
         path = write(tmp_path, "g.txt", text)
         assert cli_main(["dual", path]) == 3
-        assert capsys.readouterr().err == (
-            "plumbcap: vertex 0: framing smaller than valency "
-            "(-e_v - d_v = %d)\n" % count)
+        assert capsys.readouterr().err == "plumbcap: vertex 0: %s\n" % fault
 
 
 def test_embed_rank_toggle(tmp_path, capsys):
@@ -250,6 +258,19 @@ def test_embed_rejects_non_integer_gram_json(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("plumbcap: ")
+
+
+@pytest.mark.parametrize("argv", [["embed"], ["wu", "--gram"], ["mubar", "--gram"]],
+                         ids=" ".join)
+def test_gram_json_integer_past_the_digit_limit_exits_3(tmp_path, capsys, argv):
+    # json.loads itself refuses the integer; the message says what is wrong
+    # with the document, not how to raise the interpreter's limit.
+    limit = sys.get_int_max_str_digits()
+    path = write(tmp_path, "q.json",
+                 '{"rank": 1, "labels": ["a"], "gram": [[-%s]]}' % ("9" * (limit + 700)))
+    assert cli_main(argv + [path]) == 3
+    assert capsys.readouterr() == (
+        "", "plumbcap: gram JSON has an integer with more than %d digits\n" % limit)
 
 
 def test_embed_deep_search_exits_0(tmp_path, capsys):

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from oracles import curves_crossed, random_valid_tree, tree_distances
-from plumbcap.dualcap import admissible_roots, build_dual, build_open_book
-from plumbcap.plumbing import (
-    ValidationFailure,
-    generate_gamma_n,
-    parse_plumbing,
+
+import plumbcap.intlin
+from plumbcap.dualcap import (
+    NoAdmissibleRootError,
+    admissible_roots,
+    build_dual,
+    build_open_book,
 )
+from plumbcap.plumbing import generate_gamma_n, parse_plumbing, validate
 
 
 def hole_census(book):
@@ -91,8 +94,29 @@ def test_chain_end_hole_is_separated_by_n_edge_curves():
 
 
 def test_open_book_requires_valid_graph():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(NoAdmissibleRootError):
         build_open_book(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n"))
+
+
+def test_open_book_runs_no_sylvester_scan(monkeypatch):
+    # The string counts decide the cap's hypothesis in O(V), so the open
+    # book never builds or scans the V x V tree form, valid graph or not.
+    scanned = []
+    scan = plumbcap.intlin.first_sylvester_violation
+
+    def recording(q, *args, **kwargs):
+        scanned.append(q.rank)
+        return scan(q, *args, **kwargs)
+
+    monkeypatch.setattr(plumbcap.intlin, "first_sylvester_violation", recording)
+    valid, invalid = generate_gamma_n(5), parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n")
+    validate(valid)
+    assert scanned == [11]  # the recorder sees validate's scan
+    scanned.clear()
+    assert len(build_open_book(valid).owners) == 13
+    with pytest.raises(ValueError):
+        build_open_book(invalid)
+    assert scanned == []
 
 
 def test_hole_count_is_dual_rank_plus_one():

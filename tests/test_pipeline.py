@@ -1,11 +1,16 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from oracles import d_allows_rational_ball, lens_d
+from oracles import (
+    d_allows_rational_ball,
+    lens_d,
+    plumbing_lattice_embeds,
+    random_valid_tree,
+)
 
 import plumbcap.intlin
 import plumbcap.pipeline
@@ -24,6 +29,7 @@ from plumbcap.plumbing import (
     ValidationFailure,
     generate_gamma_n,
     parse_plumbing,
+    validate,
 )
 
 SINGLE_2 = "v 0 -2\n"
@@ -172,25 +178,93 @@ def hirzebruch_jung_chain(p: int, q: int) -> PlumbingGraph:
         edges=tuple((i, i + 1) for i in range(len(framings) - 1)))
 
 
+def lisca_family(m_max: int) -> list[tuple[int, int]]:
+    """Lisca's (Geom. Topol. 11, 2007) lens spaces L(p, q) with p = m^2,
+    m < m_max, that bound rational balls, as recalled: 0 < q < p with
+    q = mk - 1, gcd(m, k) = 1; q = d(m + 1), d > 1 dividing 2m - 1;
+    q = d(m - 1), d > 1 dividing 2m + 1; q = d(m +- 1), d > 1 odd dividing
+    m +- 1.  Closed under q -> q^-1 mod p (the same space) and q -> p - q
+    (its mirror)."""
+    found = set()
+    for m in range(2, m_max):
+        p = m * m
+        found.update((p, m * k - 1) for k in range(1, m) if gcd(m, k) == 1)
+        for s in (1, -1):
+            ds = [d for d in range(2, 2 * m - s + 1) if (2 * m - s) % d == 0]
+            ds += [d for d in range(3, m + s + 1, 2) if (m + s) % d == 0]
+            found.update((p, d * (m + s)) for d in ds if d * (m + s) < p)
+    while True:
+        closed = (found | {(p, pow(q, -1, p)) for p, q in found}
+                  | {(p, p - q) for p, q in found})
+        if closed == found:
+            return sorted(found)
+        found = closed
+
+
+def test_gamma_n_passes_the_classical_test_that_the_cap_refines():
+    """The paper's claim of a new obstruction: for n = 3..8 the tree form
+    of gamma-n embeds in <-1>^(n + 6), so Donaldson on the plumbing is
+    silent, yet the dual lattice does not embed."""
+    found = []
+    for n in range(2, 9):
+        classical = plumbing_lattice_embeds(generate_gamma_n(n))
+        found.append((classical.embeddable, classical.nodes,
+                      qhd_obstruction(generate_gamma_n(n)).verdict))
+    assert found == [(True, 145, INCONCLUSIVE)] + [
+        (True, nodes, OBSTRUCTED) for nodes in (144, 205, 297, 271, 312, 362)]
+
+
+def test_lens_cap_verdict_is_the_mirror_chains_classical_verdict():
+    """For every L(m^2, q), m < 12, the dual at the default root has the
+    rank of the mirror chain L(m^2, m^2 - q), as Riemenschneider duality
+    predicts, and embeds exactly when that chain's form embeds at its own
+    rank: on lens spaces the cap decides what Lisca's lattice test does."""
+    spaces = 0
+    for m in range(2, 12):
+        for q in range(1, m * m):
+            if gcd(m, q) != 1:
+                continue
+            report = qhd_obstruction(hirzebruch_jung_chain(m * m, q))
+            mirror = hirzebruch_jung_chain(m * m, m * m - q)
+            assert report.dual_rank == len(mirror.vertices), q
+            assert (report.verdict == INCONCLUSIVE) == plumbing_lattice_embeds(
+                mirror).embeddable, (m * m, q)
+            spaces += 1
+    assert spaces == 326
+
+
+def test_random_trees_the_cap_obstructs_beyond_the_classical_test():
+    # Of 3,000 random trees, the 244 with a square |det Q_T| pass the
+    # determinant test.  In 51 of them Q_T embeds while the dual is
+    # obstructed at some root; the other 193 embed in both (and none, as
+    # observed, the other way round, which is not gated on).
+    rng = random.Random(7)
+    squares = beyond = 0
+    for _ in range(3000):
+        g = random_valid_tree(rng, 10)
+        det = abs(validate(g).determinant)
+        if isqrt(det) ** 2 != det:
+            continue
+        squares += 1
+        beyond += (plumbing_lattice_embeds(g).embeddable and qhd_obstruction(
+            g, all_roots=True).verdict == OBSTRUCTED)
+    assert (squares, beyond) == (244, 51)
+
+
 def test_lisca_lens_spaces_are_never_obstructed():
-    """Lisca (Geom. Topol. 11, 2007): L(m^2, mk - 1) with gcd(m, k) = 1
-    bounds a rational ball, and so does L(m^2, m^2 - mk + 1), its mirror.
-    An obstructed verdict at any admissible root would be a false proof.
+    """Every lens space of ``lisca_family`` bounds a rational ball.  An
+    obstructed verdict at any admissible root would be a false proof.
 
     The test has teeth: of the 473 valid chains L(p, q) with p < 40, 434
     are obstructed at the default root.
     """
     graphs = roots = 0
-    for m in range(2, 12):
-        for k in range(1, m):
-            if gcd(m, k) != 1:
-                continue
-            for q in (m * k - 1, m * m - m * k + 1):
-                report = qhd_obstruction(hirzebruch_jung_chain(m * m, q), all_roots=True)
-                assert all(r.verdict != OBSTRUCTED for r in report.results), (m, k, q)
-                graphs += 1
-                roots += len(report.results)
-    assert (graphs, roots) == (82, 219)
+    for p, q in lisca_family(20):
+        report = qhd_obstruction(hirzebruch_jung_chain(p, q), all_roots=True)
+        assert all(r.verdict != OBSTRUCTED for r in report.results), (p, q)
+        graphs += 1
+        roots += len(report.results)
+    assert (graphs, roots) == (354, 1193)
 
 
 def test_lisca_family_passes_the_d_invariant_test():
@@ -200,10 +274,15 @@ def test_lisca_family_passes_the_d_invariant_test():
     obstructs, so it never cross-checks an obstructed verdict."""
     # RP^3 = L(2, 1) has d-invariants 1/4 and -1/4.
     assert [lens_d(2, 1, i) for i in range(2)] == [Fraction(1, 4), Fraction(-1, 4)]
-    pairs = [(m * m, q) for m in range(2, 12) for k in range(1, m) if gcd(m, k) == 1
-             for q in (m * k - 1, m * m - m * k + 1)]
-    assert len(pairs) == 82
+    pairs = lisca_family(20)
+    mk_minus_1 = {(m * m, q) for m in range(2, 20) for k in range(1, m) if gcd(m, k) == 1
+                  for q in (m * k - 1, m * m - m * k + 1)}
+    assert (len(pairs), len(mk_minus_1), len(set(pairs) - mk_minus_1)) == (354, 238, 116)
     assert all(d_allows_rational_ball(p, q) for p, q in pairs)
+    # Unresolved: one of each orbit that neither d nor the cap obstructs,
+    # outside the recalled families, so never an expected verdict.
+    assert not {(100, 39), (196, 55), (196, 83), (256, 95), (324, 71),
+                (324, 143)} & set(pairs)
     # The test has teeth: random square-p lens spaces fail it about half
     # the time (60 of these 130 pass).
     rng = random.Random(1)
