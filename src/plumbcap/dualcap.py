@@ -16,7 +16,7 @@ full negative twist of all strings, plus one more full twist per non-root
 vertex w: the twist box of the edge from w to its parent, which holds the
 strings owned in w's subtree.  Those boxes are the edge curves, each
 stored as its side *away* from the canonical dual root, and ``twist_boxes``
-lists, for each vertex, the boxes its strings pass through: the non-root
+gives, for a vertex, the boxes its strings pass through: the non-root
 vertices on its root path.
 
 So the dual is -Q = I + B B^T.  B has one all-ones column f_root and one
@@ -123,48 +123,58 @@ def choose_root(g: PlumbingGraph) -> int:
     return best
 
 
-def twist_boxes(g: PlumbingGraph, root: int) -> dict[int, frozenset[int]]:
-    """Each vertex reachable from ``root`` with the twist boxes around its
+def twist_boxes(parent: dict[int, int | None], order: list[int],
+                counts: dict[int, int]) -> dict[int, frozenset[int]]:
+    """The root ``order[0]`` of the walk ``(parent, order)`` and each
+    vertex with ``counts[v]`` strings, with the twist boxes around its
     strings: the non-root vertices on its root path.  The box of w is the
     edge curve between w and its parent, which encloses the holes owned
-    in w's subtree."""
-    parent, order = rooted_tree(g, root)
-    boxes = {root: frozenset()}
-    for v in order[1:]:
-        boxes[v] = boxes[parent[v]] | {v}
+    in w's subtree.  Only these vertices store their boxes, and each walks
+    up to the nearest one already stored, since ``order`` puts parents
+    first: a long chain owning no strings costs O(V), not O(V^2)."""
+    boxes = {order[0]: frozenset()}
+    for u in order[1:]:
+        if counts[u]:
+            path, v = [u], parent[u]
+            while v not in boxes:
+                path.append(v)
+                v = parent[v]
+            boxes[u] = boxes[v].union(path)
     return boxes
 
 
 def _checked_counts(g: PlumbingGraph, root: int):
-    """``string_counts(g)`` and ``twist_boxes(g, root)``; raises ValueError
+    """``string_counts(g)`` and ``rooted_tree(g, root)``; raises ValueError
     unless ``g`` meets the hypothesis above and ``root`` is admissible."""
-    if root not in set(g.ids()):
+    ids = g.ids()
+    if root not in set(ids):
         raise ValueError("no vertex %d" % root)
-    if len(g.edges) != len(g.ids()) - 1:
+    if len(g.edges) != len(ids) - 1:
         raise ValueError("dual configuration needs a tree")
     counts = string_counts(g)
     if counts[root] <= 0:
         raise NoAdmissibleRootError(
             "root %d is not admissible: -e_v - d_v = %d at it" % (root, counts[root]))
-    for v in g.ids():
+    for v in ids:
         if counts[v] < 0:
             e = g.framing_map()[v]
             raise ValueError("vertex %d: %s (-e_v - d_v = %d)" % (
                 v, "framing %d is positive" % e if e > 0
                 else "framing smaller than valency", counts[v]))
-    boxes = twist_boxes(g, root)
-    if len(boxes) != len(counts):
+    parent, order = rooted_tree(g, root)
+    if len(order) != len(counts):
         raise ValueError("graph is not connected")
-    return counts, boxes
+    return counts, parent, order
 
 
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings at ``root``; raises
     ValueError as ``_checked_counts`` does."""
-    counts, boxes = _checked_counts(g, root)
+    counts, parent, order = _checked_counts(g, root)
     counts[root] -= 1
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
     labels = ["u%d#%d" % (v, k) for v in g.ids() for k in range(counts[v])]
+    boxes = twist_boxes(parent, order, counts)
     # Q[i][j] = -delta_ij - 1 - |boxes(u_i) & boxes(u_j)|, one row per owner.
     linking = {u: [-1 - len(boxes[u] & boxes[w]) for w in owners] for u in set(owners)}
     rows = [list(linking[u]) for u in owners]
@@ -182,13 +192,25 @@ def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:
 def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
     """The open book, holes numbered by ascending owner.  Raises ValueError
     as ``build_dual(g, choose_root(g))`` does, with the same words."""
-    counts, boxes = _checked_counts(g, choose_root(g))
+    counts, parent, order = _checked_counts(g, choose_root(g))
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
+    # Number the vertices in a depth-first preorder: v's subtree is then
+    # entry[v] <= entry[w] < entry[v] + size[v].  Each child's range
+    # follows its parent's entry and its earlier siblings' ranges.
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    entry, free = {order[0]: 0}, {order[0]: 1}
+    for v in order[1:]:
+        entry[v] = free[parent[v]]
+        free[parent[v]] += size[v]
+        free[v] = entry[v] + 1
     # The far side of an edge from the canonical dual root is the subtree
-    # of its endpoint with more boxes.
+    # of its child end.
     edge_curves = []
     for a, b in g.edges:
-        child = max(a, b, key=lambda v: len(boxes[v]))
+        child = b if parent[b] == a else a
+        start, end = entry[child], entry[child] + size[child]
         edge_curves.append(((a, b), tuple(
-            h for h, u in enumerate(owners) if child in boxes[u])))
+            h for h, u in enumerate(owners) if start <= entry[u] < end)))
     return OpenBookDescription(owners=owners, edge_curves=tuple(edge_curves))

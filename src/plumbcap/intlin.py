@@ -217,24 +217,21 @@ def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
     return sorted(tuple((bits >> k) & 1 for k in range(n)) for bits in classes)
 
 
-def mu_bar(q: GramMatrix, w: tuple[int, ...] | None = None) -> int:
+def mu_bar(q: GramMatrix) -> int:
     """Signature minus w^T Q w for the unique 0/1 Wu class w.
 
     For a negative definite form the signature is -rank.  Raises
     NotDefiniteError unless Q is negative definite, and NonUniqueSpinError
-    when det(Q) is even (two or more Wu classes, no canonical choice).  A
-    caller that passes ``w`` vouches that Q is negative definite and that
-    w is its only Wu class, and neither check runs.
+    when det(Q) is even (two or more Wu classes, no canonical choice).
     """
-    if w is None:
-        minors = [1]  # so that rank 0 has determinant 1
-        if first_sylvester_violation(q, minors) is not None:
-            raise NotDefiniteError("mu_bar needs a negative definite form")
-        # Odd det Q is exactly an invertible Q mod 2: one Wu class.  Even
-        # det is refused before wu_classes lists 2^nullity classes.
-        if minors[-1] % 2 == 0:
-            raise NonUniqueSpinError(
-                "mu_bar needs odd determinant; the determinant is %d" % minors[-1])
-        w = wu_classes(q)[0]
+    minors = [1]  # so that rank 0 has determinant 1
+    if first_sylvester_violation(q, minors) is not None:
+        raise NotDefiniteError("mu_bar needs a negative definite form")
+    # Odd det Q is exactly an invertible Q mod 2: one Wu class.  Even
+    # det is refused before wu_classes lists 2^nullity classes.
+    if minors[-1] % 2 == 0:
+        raise NonUniqueSpinError(
+            "mu_bar needs odd determinant; the determinant is %d" % minors[-1])
+    w = wu_classes(q)[0]
     support = [i for i, bit in enumerate(w) if bit]
     return -q.rank - sum(q.entries[i][j] for i in support for j in support)

@@ -4,13 +4,13 @@ Validates a plumbing graph, builds the dual configuration at one or more
 roots, and runs the diagonal-lattice embedding search at the dual rank.
 Every dual is negative definite with |det| equal to the tree form's (see
 ``dualcap``), so the tree's determinant serves every root and no dual is
-eliminated.  The tree form itself is built and eliminated once: its
-determinant is the last leading minor of the definiteness scan in
-``validate``.  A completed search with no embedding, or a dual
-determinant that is not a perfect square (which the search checks
-first), obstructs a rational homology disk filling; an embedding found
-means the test is silent (it never certifies existence); an exhausted
-budget leaves the question undecided.
+eliminated.  No V x V form is built either: ``validate`` decides the
+tree's definiteness and determinant, and ``tree_wu_class`` its Wu class
+and mu-bar, by one leaves-first elimination each, in O(V).  A completed
+search with no embedding, or a dual determinant that is not a perfect
+square (which the search checks first), obstructs a rational homology
+disk filling; an embedding found means the test is silent (it never
+certifies existence); an exhausted budget leaves the question undecided.
 
 When the intersection form has odd determinant the report also carries
 the unique Wu class and the mu-bar invariant computed from it, which
@@ -25,11 +25,13 @@ from dataclasses import dataclass
 
 from .dualcap import admissible_roots, build_dual, choose_root
 from .embedder import EmbeddingOutcome, embed_diagonal
-# determinant and gram_matrix are not called here (validate builds and
-# scans the form), but bench/tracing.py wraps the pipeline's functions by
-# name, these two included.
+# determinant, gram_matrix, mu_bar and wu_classes are not called here
+# (the tree is eliminated in O(V) instead, and only a refused graph's
+# offender is found by a dense scan), but bench/tracing.py wraps the
+# pipeline's functions by name, these four included.
 from .intlin import determinant, mu_bar, wu_classes
-from .plumbing import PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix, validate
+from .plumbing import (PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix,
+                       tree_wu_class, validate)
 
 OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
@@ -138,12 +140,7 @@ def qhd_obstruction(
         outcome = embed_diagonal(dual.gram, dual.gram.rank, budget, determinant=abs(det))
         results.append(RootResult(r, outcome))
 
-    wu_support = None
-    mu = None
-    if det % 2 != 0:
-        unique = wu_classes(report.gram)[0]
-        wu_support = tuple(v for v, bit in zip(graph.ids(), unique) if bit)
-        mu = mu_bar(report.gram, unique)
+    wu_support, mu = tree_wu_class(graph) if det % 2 else (None, None)
     total_millis = int((time.monotonic() - started) * 1000)
     return ObstructionReport(
         graph=graph,

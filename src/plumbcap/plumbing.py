@@ -105,14 +105,12 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """What ``validate`` found.  ``gram`` is the intersection form it
-    scanned; ``determinant`` is det Q, the scan's last leading minor, when
-    Q is negative definite, and None otherwise."""
+    """What ``validate`` found.  ``determinant`` is det Q when the
+    intersection form Q is negative definite, and None otherwise."""
 
     is_tree: bool
     reduced_fundamental_cycle: bool
     offending_vertices: tuple[int, ...]
-    gram: intlin.GramMatrix
     determinant: int | None
 
     @property
@@ -229,6 +227,27 @@ def rooted_tree(g: PlumbingGraph, root: int) -> tuple[dict[int, int | None], lis
     return parent, order
 
 
+def _definite_tree_determinant(g: PlumbingGraph, parent, order) -> int | None:
+    """det Q of a tree whose form is negative definite, else None.
+
+    Eliminates leaves first along ``order`` (each vertex after its parent):
+    the pivot of v is e_v minus the sum of 1/pivot over v's children, and
+    the form is negative definite iff every pivot is negative.  Pivot v is
+    kept as num/den with den the product of its children's numerators, so
+    num is the determinant of v's subtree and the root's num is det Q.
+    """
+    num = g.framing_map()
+    den = dict.fromkeys(num, 1)
+    for v in reversed(order):
+        n, d = num[v], den[v]
+        if n == 0 or (n > 0) == (d > 0):
+            return None
+        p = parent[v]
+        if p is not None:
+            num[p], den[p] = num[p] * n - den[p] * d, den[p] * n
+    return num[order[0]]
+
+
 def validate(g: PlumbingGraph) -> ValidationReport:
     """Check tree-ness, negative definiteness and |framing| >= valency.
 
@@ -237,11 +256,14 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     failing Sylvester order (in ascending-id position); for a disconnected
     graph, every vertex outside the component of the lowest id; for a
     connected graph with a cycle, the endpoints of the first removable
-    edge.  The report carries the form and, when it is definite, its
-    determinant, so a caller builds and eliminates it no second time.
+    edge.  A tree is decided in O(V) by leaves-first elimination.  Only a
+    graph that is not a tree, or whose form is not negative definite,
+    builds the V x V form and pays the O(V^3) Sylvester scan, which names
+    its offender and gives a non-tree's determinant.
     """
     ids = g.ids()
-    offenders = set(ids).difference(rooted_tree(g, ids[0])[1])
+    parent, order = rooted_tree(g, ids[0])
+    offenders = set(ids).difference(order)
     connected = not offenders
     is_tree = connected and len(g.edges) == len(ids) - 1
     if connected and not is_tree:
@@ -256,19 +278,74 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     rfc_bad = [v for v in ids if abs(framings[v]) < len(adj[v])]
     offenders.update(rfc_bad)
 
-    q = gram_matrix(g)
-    minors: list[int] = []
-    violation = intlin.first_sylvester_violation(q, minors)
-    if violation is not None:
-        offenders.add(ids[violation - 1])
+    det = _definite_tree_determinant(g, parent, order) if is_tree else None
+    if det is None:
+        minors: list[int] = []
+        violation = intlin.first_sylvester_violation(gram_matrix(g), minors)
+        if violation is not None:
+            offenders.add(ids[violation - 1])
+        elif is_tree:
+            raise RuntimeError("elimination refused a tree that the Sylvester scan finds definite")
+        else:
+            det = minors[-1]
 
     return ValidationReport(
         is_tree=is_tree,
         reduced_fundamental_cycle=not rfc_bad,
         offending_vertices=tuple(sorted(offenders)),
-        gram=q,
-        determinant=minors[-1] if violation is None else None,
+        determinant=det,
     )
+
+
+def tree_wu_class(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
+    """The support of the Wu class of a tree with odd det Q, and mu-bar.
+
+    The Wu class is the one 0/1 solution of Q w = diag(Q) mod 2, solved
+    by the leaves-first elimination of ``validate`` over GF(2).  Once its
+    children are folded in, v's equation reads c_v w_v + w_parent = r_v.
+    With c_v = 1 it gives w_v = w_parent + r_v and folds into the parent's
+    equation; with c_v = 0 it fixes w_parent = r_v instead, and the
+    parent's equation then gives w_v in terms of the grandparent's bit.
+    Odd det Q allows a vertex at most one such child, and not the root.
+    mu-bar is -V - w^T Q w, and w^T Q w is the sum of e_v over the support
+    plus twice the edges inside it.  Raises ValueError when the elimination
+    shows an even determinant, and RuntimeError if the class found fails an
+    equation.
+    """
+    parent, order = rooted_tree(g, g.ids()[0])
+    framings = g.framing_map()
+    coef = {v: e & 1 for v, e in framings.items()}
+    rhs = dict(coef)
+    fixed = {}  # v -> (w_v, the zero child fixing it)
+    rule = {}  # v -> (anchor, offset): w_v = w_anchor + offset
+    for v in reversed(order):
+        p = parent[v]
+        if v in fixed:  # c_v w_v + w_child + w_p = r_v with w_v known
+            bit, child = fixed[v]
+            rule[v] = (None, bit)
+            rule[child] = (p, rhs[v] ^ (coef[v] & bit))
+            if p is not None:
+                rhs[p] ^= bit
+        elif coef[v]:
+            rule[v] = (p, rhs[v])
+            if p is not None:
+                coef[p] ^= 1
+                rhs[p] ^= rhs[v]
+        elif p is None or p in fixed:
+            raise ValueError("the determinant is even: the Wu class is not unique")
+        else:
+            fixed[p] = (rhs[v], v)
+    bits = {None: 0}  # a rule anchored at None gives a constant
+    for v in order:
+        anchor, offset = rule[v]
+        bits[v] = bits[anchor] ^ offset
+    adj = g.adjacency()
+    if any((framings[v] * bits[v] + sum(bits[u] for u in adj[v]) - framings[v]) % 2
+           for v in order):
+        raise RuntimeError("tree Wu class solver produced a vector that does not verify")
+    support = tuple(v for v in g.ids() if bits[v])
+    inside = sum(bits[a] & bits[b] for a, b in g.edges)
+    return support, -len(order) - sum(framings[v] for v in support) - 2 * inside
 
 
 def generate_gamma_n(n: int) -> PlumbingGraph:

@@ -110,8 +110,8 @@ def test_open_book_runs_no_sylvester_scan(monkeypatch):
 
     monkeypatch.setattr(plumbcap.intlin, "first_sylvester_violation", recording)
     valid, invalid = generate_gamma_n(5), parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n")
-    validate(valid)
-    assert scanned == [11]  # the recorder sees validate's scan
+    validate(invalid)
+    assert scanned == [2]  # the recorder sees validate's scan of a refused graph
     scanned.clear()
     assert len(build_open_book(valid).owners) == 13
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
 
+from test_plumbing import plumbing_trees
 from oracles import (
     d_allows_rational_ball,
     lens_d,
@@ -14,8 +16,10 @@ from oracles import (
 
 import plumbcap.intlin
 import plumbcap.pipeline
+import plumbcap.plumbing
+from plumbcap.cli import cli_main
 from plumbcap.embedder import verify_witness
-from plumbcap.intlin import GramMatrix
+from plumbcap.intlin import GramMatrix, mu_bar, wu_classes
 from plumbcap.pipeline import (
     INCONCLUSIVE,
     OBSTRUCTED,
@@ -28,7 +32,10 @@ from plumbcap.plumbing import (
     PlumbingGraph,
     ValidationFailure,
     generate_gamma_n,
+    gram_matrix,
     parse_plumbing,
+    serialize_plumbing,
+    tree_wu_class,
     validate,
 )
 
@@ -83,8 +90,10 @@ def test_all_roots_runs_every_admissible_root():
 
 
 def test_obstruct_never_scans_a_dual(monkeypatch):
-    # Every dual is definite with the tree's |det| by construction, so the
-    # only Sylvester scans left run on the tree form itself.
+    # Every dual is definite with the tree's |det| by construction, and an
+    # accepted tree is decided by leaves-first elimination, so no Sylvester
+    # scan runs; a refused tree is scanned once, at rank V, to name its
+    # offender.
     scanned = []
     scan = plumbcap.intlin.first_sylvester_violation
 
@@ -96,8 +105,51 @@ def test_obstruct_never_scans_a_dual(monkeypatch):
     for g in (generate_gamma_n(5), parse_plumbing("v 0 -33\n")):
         scanned.clear()
         report = qhd_obstruction(g, all_roots=True)
-        assert report.dual_rank != len(g.vertices)  # a dual scan would show
-        assert scanned and set(scanned) == {len(g.vertices)}
+        assert report.dual_rank != len(g.vertices)
+        assert scanned == []
+    refused = parse_plumbing("v 0 -2\nv 1 -1\nv 2 -2\ne 0 1\ne 1 2\n")
+    with pytest.raises(ValidationFailure):
+        qhd_obstruction(refused)
+    assert scanned == [3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(plumbing_trees(max_framing=-1))
+def test_property_tree_wu_class_matches_dense_solver(g):
+    report = validate(g)
+    if not report.negative_definite:
+        return
+    if report.determinant % 2 == 0:
+        with pytest.raises(ValueError):
+            tree_wu_class(g)
+        return
+    q = gram_matrix(g)
+    (unique,) = wu_classes(q)
+    expected = (tuple(v for v, bit in zip(g.ids(), unique) if bit), mu_bar(q))
+    assert tree_wu_class(g) == expected
+    if report.all_ok:
+        obstruction = qhd_obstruction(g, budget=1)
+        assert (obstruction.wu_support, obstruction.mu_bar) == expected
+
+
+def test_long_chain_obstructs_without_a_dense_form(tmp_path, monkeypatch, capsys):
+    # The chain (-3, 798 x -2, -3): its tree form is decided by elimination,
+    # never built as an 800 x 800 matrix or scanned.
+    called = []
+    for module, name in ((plumbcap.intlin, "first_sylvester_violation"),
+                         (plumbcap.plumbing, "gram_matrix"),
+                         (plumbcap.pipeline, "gram_matrix")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: called.append(_name))
+    framings = [-3] + [-2] * 798 + [-3]
+    chain = PlumbingGraph(vertices=tuple(enumerate(framings)),
+                          edges=tuple((v, v + 1) for v in range(799)))
+    path = tmp_path / "chain.txt"
+    path.write_text(serialize_plumbing(chain))
+    code = cli_main(["obstruct", str(path), "--all-roots", "--no-timings"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "intersection form determinant: 3200\n" in out
+    assert called == []
 
 
 def test_budget_exhaustion_is_undecided():

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import leibniz_det, nd_by_minors, random_valid_tree, tree_distances
 from test_cli import graph_documents
+from plumbcap import intlin
 from plumbcap.plumbing import (
     MAX_VERTICES,
     GraphFormatError,
@@ -295,8 +297,7 @@ def test_validate_reports_the_form_and_its_determinant():
             vertices=tuple((v, rng.randint(-6, 2)) for v in range(n)),
             edges=tuple((rng.randrange(v), v) for v in range(1, n)))
         report = validate(g)
-        assert report.gram == gram_matrix(g)
-        rows = [list(r) for r in report.gram.entries]
+        rows = [list(r) for r in gram_matrix(g).entries]
         if nd_by_minors(rows):
             assert report.determinant == leibniz_det(rows)
             definite += 1
@@ -304,6 +305,38 @@ def test_validate_reports_the_form_and_its_determinant():
             assert report.determinant is None
         assert report.negative_definite == (report.determinant is not None)
     assert 10 <= definite <= 140
+
+
+@st.composite
+def plumbing_trees(draw, max_framing=2):
+    """Trees on 1..14 vertices with framings in [-7, max_framing], definite
+    or not, numbered so that vertex 0 (validate's root) is anywhere."""
+    n = draw(st.integers(1, 14))
+    ids = draw(st.permutations(range(n)))
+    edges = tuple((ids[draw(st.integers(0, v - 1))], ids[v]) for v in range(1, n))
+    vertices = tuple((v, draw(st.integers(-7, max_framing))) for v in range(n))
+    return PlumbingGraph(vertices=vertices, edges=edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(plumbing_trees())
+def test_property_tree_elimination_matches_bareiss(g):
+    report = validate(g)
+    q = gram_matrix(g)
+    minors: list[int] = []
+    definite = intlin.first_sylvester_violation(q, minors) is None
+    assert report.negative_definite == definite
+    assert report.determinant == (minors[-1] if definite else None)
+    if definite and q.rank <= 6:
+        assert report.determinant == leibniz_det([list(r) for r in q.entries])
+
+
+def test_validate_refuses_to_pick_between_disagreeing_checks(monkeypatch):
+    # A tree the elimination refuses is scanned to name its offender; a
+    # scan that finds it definite is a contradiction, not a verdict.
+    monkeypatch.setattr(intlin, "first_sylvester_violation", lambda q, minors: None)
+    with pytest.raises(RuntimeError):
+        validate(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n"))
 
 
 def test_validate_determinant_follows_definiteness_not_tree_ness():
