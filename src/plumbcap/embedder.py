@@ -311,8 +311,8 @@ def embed_diagonal(q: GramMatrix, r: int, budget: int | None, *,
         raise ValueError("node budget must be nonnegative")
     if determinant is None:
         minors = [1]  # so that rank 0 has determinant 1
-        # Through the module, as plumbing.validate does, so that a wrapper
-        # on intlin.first_sylvester_violation sees this scan too.
+        # Through the module, so that a wrapper on
+        # intlin.first_sylvester_violation sees this scan too.
         if intlin.first_sylvester_violation(q, minors) is not None:
             raise NotDefiniteError("embedding search needs a negative definite form")
         determinant = abs(minors[-1])

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .dualcap import admissible_roots, build_dual, choose_root
 from .embedder import EmbeddingOutcome, embed_diagonal
 # determinant, gram_matrix, mu_bar and wu_classes are not called here
-# (the tree is eliminated in O(V) instead, and only a refused graph's
-# offender is found by a dense scan), but bench/tracing.py wraps the
-# pipeline's functions by name, these four included.
+# (every graph is validated, and a tree eliminated, in O(V + E) with no
+# V x V form), but bench/tracing.py wraps the pipeline's functions by
+# name, these four included.
 from .intlin import determinant, mu_bar, wu_classes
 from .plumbing import (PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix,
                        tree_wu_class, validate)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import intlin
 
@@ -105,8 +105,10 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """What ``validate`` found.  ``determinant`` is det Q when the
-    intersection form Q is negative definite, and None otherwise."""
+    """What ``validate`` found.  ``determinant`` is det Q when the graph is
+    a tree whose intersection form Q is negative definite, and None
+    otherwise; ``negative_definite`` is None for a graph that is not a
+    tree, whose form is not decided."""
 
     is_tree: bool
     reduced_fundamental_cycle: bool
@@ -114,8 +116,8 @@ class ValidationReport:
     determinant: int | None
 
     @property
-    def negative_definite(self) -> bool:
-        return self.determinant is not None
+    def negative_definite(self) -> bool | None:
+        return self.determinant is not None if self.is_tree else None
 
     @property
     def all_ok(self) -> bool:
@@ -125,7 +127,7 @@ class ValidationReport:
         problems = []
         if not self.is_tree:
             problems.append("not a tree")
-        if not self.negative_definite:
+        elif not self.negative_definite:
             problems.append("not negative definite")
         if not self.reduced_fundamental_cycle:
             problems.append("framing smaller than valency")
@@ -227,67 +229,60 @@ def rooted_tree(g: PlumbingGraph, root: int) -> tuple[dict[int, int | None], lis
     return parent, order
 
 
-def _definite_tree_determinant(g: PlumbingGraph, parent, order) -> int | None:
-    """det Q of a tree whose form is negative definite, else None.
+def _definite_tree_determinant(g: PlumbingGraph, parent, order) -> tuple[int | None, int | None]:
+    """``(det Q, None)`` for a tree whose form is negative definite, else
+    ``(None, v)`` with v the first vertex whose pivot is not negative.
 
     Eliminates leaves first along ``order`` (each vertex after its parent):
     the pivot of v is e_v minus the sum of 1/pivot over v's children, and
     the form is negative definite iff every pivot is negative.  Pivot v is
     kept as num/den with den the product of its children's numerators, so
-    num is the determinant of v's subtree and the root's num is det Q.
+    num is the determinant of v's subtree and the root's num is det Q.  So
+    the v returned roots a subtree that is not negative definite, while
+    every subtree below it is.
     """
     num = g.framing_map()
     den = dict.fromkeys(num, 1)
     for v in reversed(order):
         n, d = num[v], den[v]
         if n == 0 or (n > 0) == (d > 0):
-            return None
+            return None, v
         p = parent[v]
         if p is not None:
             num[p], den[p] = num[p] * n - den[p] * d, den[p] * n
-    return num[order[0]]
+    return num[order[0]], None
 
 
 def validate(g: PlumbingGraph) -> ValidationReport:
     """Check tree-ness, negative definiteness and |framing| >= valency.
 
     ``offending_vertices`` always explains a failure: reduced-cycle
-    violators directly; for an indefinite form, the vertex at the first
-    failing Sylvester order (in ascending-id position); for a disconnected
-    graph, every vertex outside the component of the lowest id; for a
-    connected graph with a cycle, the endpoints of the first removable
-    edge.  A tree is decided in O(V) by leaves-first elimination.  Only a
-    graph that is not a tree, or whose form is not negative definite,
-    builds the V x V form and pays the O(V^3) Sylvester scan, which names
-    its offender and gives a non-tree's determinant.
+    violators directly; for an indefinite tree, the first vertex whose
+    pivot fails in the leaves-first elimination from the lowest id; for a
+    disconnected graph, every vertex outside the component of the lowest
+    id; for a connected graph with a cycle, the endpoints of the first
+    edge (in sorted order) off the breadth-first tree, whose removal
+    leaves the graph connected.  Definiteness is decided for trees only:
+    a graph that is not a tree has no determinant and ``negative_definite``
+    None.  Every graph is decided in O(V + E) and no V x V form is built.
     """
     ids = g.ids()
     parent, order = rooted_tree(g, ids[0])
     offenders = set(ids).difference(order)
-    connected = not offenders
-    is_tree = connected and len(g.edges) == len(ids) - 1
-    if connected and not is_tree:
-        for edge in g.edges:
-            rest = replace(g, edges=tuple(e for e in g.edges if e != edge))
-            if len(rooted_tree(rest, ids[0])[1]) == len(ids):
-                offenders.update(edge)
-                break
+    is_tree = not offenders and len(g.edges) == len(ids) - 1
+    if not offenders and not is_tree:
+        offenders.update(next((a, b) for a, b in g.edges if parent[a] != b and parent[b] != a))
 
     framings = g.framing_map()
     adj = g.adjacency()
     rfc_bad = [v for v in ids if abs(framings[v]) < len(adj[v])]
     offenders.update(rfc_bad)
 
-    det = _definite_tree_determinant(g, parent, order) if is_tree else None
-    if det is None:
-        minors: list[int] = []
-        violation = intlin.first_sylvester_violation(gram_matrix(g), minors)
-        if violation is not None:
-            offenders.add(ids[violation - 1])
-        elif is_tree:
-            raise RuntimeError("elimination refused a tree that the Sylvester scan finds definite")
-        else:
-            det = minors[-1]
+    det = None
+    if is_tree:
+        det, pivot_offender = _definite_tree_determinant(g, parent, order)
+        if pivot_offender is not None:
+            offenders.add(pivot_offender)
 
     return ValidationReport(
         is_tree=is_tree,

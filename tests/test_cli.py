@@ -133,7 +133,7 @@ def test_validate_bad_graph_exits_3(tmp_path, capsys):
     assert cli_main(["validate", path, "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["negative_definite"] is False
-    assert doc["offending_vertices"] == [1]
+    assert doc["offending_vertices"] == [0]
 
 
 def test_parse_error_exits_3(tmp_path, capsys):
@@ -424,9 +424,10 @@ HUGE_FRAMING = "v 0 -100000000000000000000\n"  # dual rank 10^20 - 1
 STAR_41 = "v 0 -40\n" + "".join("v %d -2\ne 0 %d\n" % (v, v) for v in range(1, 41))
 
 
-def chain(n: int) -> str:
-    """A path of n vertices framed -3, -2, ..., -2, -3: dual rank 3."""
-    framings = [-3] + [-2] * (n - 2) + [-3]
+def chain(n: int, end: int = -3) -> str:
+    """A path of n vertices framed end, -2, ..., -2, end: dual rank 3 by
+    default."""
+    framings = [end] + [-2] * (n - 2) + [end]
     return "".join("v %d %d\n" % v for v in enumerate(framings)) + "".join(
         "e %d %d\n" % (v, v + 1) for v in range(n - 1))
 
@@ -485,6 +486,37 @@ def test_a_chain_at_the_vertex_bound_runs_dual_under_a_memory_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["root: 0", "u0#0: vertex 0, distance 0, framing -2"]
     assert proc.stdout.count("vertex %d," % (MAX_VERTICES - 1)) == 2
+
+
+def _ring(n: int) -> str:
+    return chain(n) + "e 0 %d\n" % (n - 1)
+
+
+def _forest(n: int) -> str:
+    return "".join("v %d -2\n" % v for v in range(n))
+
+
+@pytest.mark.parametrize("text, message", [
+    # The walk from 0 goes both ways round the ring and meets at the far side.
+    (_ring(MAX_VERTICES), "not a tree (vertices [%d, %d])" % (MAX_VERTICES // 2,
+                                                              MAX_VERTICES // 2 + 1)),
+    (_forest(MAX_VERTICES), "not a tree (vertices %s)" % list(range(1, MAX_VERTICES))),
+    # (-1, 2046 x -2, -1): every pivot from the far end is -1, the root's 0.
+    (chain(MAX_VERTICES, -1), "not negative definite (vertices [0])"),
+], ids=["cycle", "forest", "indefinite-chain"])
+def test_validate_refuses_at_the_vertex_bound_without_a_dense_form(monkeypatch, capsys,
+                                                                   text, message):
+    # A refused graph names its offender from the walk and the elimination:
+    # no V x V form is built and no Sylvester scan runs.
+    called = []
+    for module, name in ((plumbcap.intlin, "first_sylvester_violation"),
+                         (plumbcap.plumbing, "gram_matrix"),
+                         (cli, "gram_matrix")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: called.append(_name))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli_main(["validate", "-"]) == 3
+    assert capsys.readouterr() == (message + "\n", "")
+    assert called == []
 
 
 def test_an_oversized_integer_is_refused_with_its_line(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from plumbcap.dualcap import (
     build_dual,
     build_open_book,
 )
-from plumbcap.plumbing import generate_gamma_n, parse_plumbing, validate
+from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
 
 
 def hole_census(book):
@@ -110,8 +110,9 @@ def test_open_book_runs_no_sylvester_scan(monkeypatch):
 
     monkeypatch.setattr(plumbcap.intlin, "first_sylvester_violation", recording)
     valid, invalid = generate_gamma_n(5), parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n")
-    validate(invalid)
-    assert scanned == [2]  # the recorder sees validate's scan of a refused graph
+    with pytest.raises(plumbcap.intlin.NotDefiniteError):
+        plumbcap.intlin.mu_bar(gram_matrix(invalid))
+    assert scanned == [2]  # the recorder sees mu_bar's scan of an indefinite form
     scanned.clear()
     assert len(build_open_book(valid).owners) == 13
     with pytest.raises(ValueError):

@@ -90,10 +90,9 @@ def test_all_roots_runs_every_admissible_root():
 
 
 def test_obstruct_never_scans_a_dual(monkeypatch):
-    # Every dual is definite with the tree's |det| by construction, and an
-    # accepted tree is decided by leaves-first elimination, so no Sylvester
-    # scan runs; a refused tree is scanned once, at rank V, to name its
-    # offender.
+    # Every dual is definite with the tree's |det| by construction, and
+    # every tree, accepted or refused, is decided by leaves-first
+    # elimination, so no Sylvester scan runs.
     scanned = []
     scan = plumbcap.intlin.first_sylvester_violation
 
@@ -110,7 +109,7 @@ def test_obstruct_never_scans_a_dual(monkeypatch):
     refused = parse_plumbing("v 0 -2\nv 1 -1\nv 2 -2\ne 0 1\ne 1 2\n")
     with pytest.raises(ValidationFailure):
         qhd_obstruction(refused)
-    assert scanned == [3]
+    assert scanned == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

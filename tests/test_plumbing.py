@@ -242,8 +242,8 @@ def test_validate_flags_indefinite_form():
     report = validate(g)
     assert report.is_tree
     assert report.reduced_fundamental_cycle
-    assert not report.negative_definite
-    assert report.offending_vertices == (1,)
+    assert report.negative_definite is False
+    assert report.offending_vertices == (0,)
 
 
 def test_validate_flags_disconnected_graph():
@@ -255,21 +255,22 @@ def test_validate_flags_disconnected_graph():
 
 def test_validate_flags_cycle():
     # With a cycle, the offenders are the endpoints of the first edge (in
-    # sorted order) whose removal leaves the graph connected; in a forest,
-    # the vertices outside the component of the lowest id.
+    # sorted order) off the breadth-first tree from the lowest id, so its
+    # removal leaves the graph connected; in a forest, the vertices outside
+    # the component of the lowest id.
     g = PlumbingGraph(
         vertices=((0, -3), (1, -3), (2, -3)),
         edges=((0, 1), (1, 2), (0, 2)))
     report = validate(g)
     assert not report.is_tree
-    assert report.offending_vertices == (0, 1)
+    assert report.offending_vertices == (1, 2)
 
     tailed = PlumbingGraph(
         vertices=((0, -3), (1, -3), (2, -3), (3, -3)),
         edges=((0, 1), (1, 2), (2, 3), (1, 3)))
     report = validate(tailed)
     assert not report.is_tree
-    assert report.offending_vertices == (1, 2)
+    assert report.offending_vertices == (2, 3)
 
     forest = PlumbingGraph(vertices=((0, -2), (1, -2), (2, -2)), edges=((1, 2),))
     assert validate(forest).offending_vertices == (1, 2)
@@ -331,19 +332,62 @@ def test_property_tree_elimination_matches_bareiss(g):
         assert report.determinant == leibniz_det([list(r) for r in q.entries])
 
 
-def test_validate_refuses_to_pick_between_disagreeing_checks(monkeypatch):
-    # A tree the elimination refuses is scanned to name its offender; a
-    # scan that finds it definite is a contradiction, not a verdict.
-    monkeypatch.setattr(intlin, "first_sylvester_violation", lambda q, minors: None)
-    with pytest.raises(RuntimeError):
-        validate(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n"))
+def _subtree(g: PlumbingGraph, top: int) -> PlumbingGraph:
+    """The subtree of ``top`` under the walk from the lowest id."""
+    parent, order = rooted_tree(g, g.ids()[0])
+    below = {top}
+    for v in order:  # each vertex comes after its parent
+        if parent[v] in below:
+            below.add(v)
+    return PlumbingGraph(vertices=tuple(x for x in g.vertices if x[0] in below),
+                         edges=tuple(e for e in g.edges if below.issuperset(e)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(plumbing_trees())
+def test_property_indefinite_tree_names_the_lowest_failing_subtree(g):
+    # With the reduced-cycle bound met, the one offender of an indefinite
+    # tree roots, under the walk from the lowest id, a subtree that is not
+    # negative definite, and each of its children's subtrees is.
+    report = validate(g)
+    if report.negative_definite or not report.reduced_fundamental_cycle:
+        return
+    (top,) = report.offending_vertices
+    parent, _ = rooted_tree(g, g.ids()[0])
+    assert intlin.first_sylvester_violation(gram_matrix(_subtree(g, top))) is not None
+    for child in (v for v, p in parent.items() if p == top):
+        assert intlin.first_sylvester_violation(gram_matrix(_subtree(g, child))) is None
+
+
+def test_validate_names_an_edge_on_a_cycle():
+    # Random connected graphs with 1..4 edges beyond a spanning tree, and
+    # |framing| >= valency, so the named edge is the only offence.
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < min(n - 1 + rng.randint(1, 4), n * (n - 1) // 2):
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        valency = [sum(v in e for e in edges) for v in range(n)]
+        g = PlumbingGraph(vertices=tuple((v, -valency[v] - rng.randint(0, 2)) for v in range(n)),
+                          edges=tuple(edges))
+        report = validate(g)
+        assert not report.is_tree and not report.all_ok
+        assert report.determinant is None and report.negative_definite is None
+        edge = report.offending_vertices
+        assert edge in g.edges
+        assert report.describe() == "not a tree (vertices %s)" % list(edge)
+        rest = PlumbingGraph(vertices=g.vertices, edges=tuple(e for e in g.edges if e != edge))
+        assert len(rooted_tree(rest, 0)[1]) == n
 
 
 def test_validate_determinant_follows_definiteness_not_tree_ness():
     assert validate(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n")).determinant is None
     forest = validate(PlumbingGraph(vertices=((0, -2), (1, -2), (2, -2)), edges=((1, 2),)))
+    # A graph that is not a tree has no decided form.
     assert not forest.is_tree
-    assert forest.determinant == -6  # -2 times det [[-2, 1], [1, -2]]
+    assert forest.determinant is None and forest.negative_definite is None
     for g in (CHAIN3, parse_plumbing("v 0 -4\nv 1 -2\nv 2 -2\nv 3 -3\ne 0 1\ne 0 2\ne 0 3\n")):
         report = validate(g)
         assert report.determinant == leibniz_det([list(r) for r in gram_matrix(g).entries])
