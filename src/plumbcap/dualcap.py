@@ -15,14 +15,15 @@ Pick a root vertex v with -e_v - d_v > 0.  Every vertex u contributes
 full negative twist of all strings, plus one more full twist per non-root
 vertex w: the twist box of the edge from w to its parent, which holds the
 strings owned in w's subtree.  Those boxes are the edge curves, each
-stored as its side *away* from the canonical dual root, and ``twist_boxes``
-gives, for a vertex, the boxes its strings pass through: the non-root
-vertices on its root path.
+stored as its side *away* from the canonical dual root: the edge's child
+end's subtree, an interval of the walk's preorder (``_subtrees``).
 
 So the dual is -Q = I + B B^T.  B has one all-ones column f_root and one
 column f_w per non-root w, marking the strings in w's subtree.  A string
-owned by u gets framing -dist(u, v) - 2, and two strings link by -1 minus
-the number of boxes they share.
+owned by u gets framing -dist(u, v) - 2, and the strings of u and w share
+the boxes of the non-root vertices on both root paths: depth(meet(u, w))
+of them, so they link by -1 - depth(meet(u, w)).  ``build_dual`` finds
+these depths in one sweep of the walk per owner, O(V * owners + rank^2).
 
 I + B B^T is positive definite, so every dual is negative definite.  Its
 determinant is det(I + B^T B), a V x V determinant.  The unimodular change
@@ -123,26 +124,6 @@ def choose_root(g: PlumbingGraph) -> int:
     return best
 
 
-def twist_boxes(parent: dict[int, int | None], order: list[int],
-                counts: dict[int, int]) -> dict[int, frozenset[int]]:
-    """The root ``order[0]`` of the walk ``(parent, order)`` and each
-    vertex with ``counts[v]`` strings, with the twist boxes around its
-    strings: the non-root vertices on its root path.  The box of w is the
-    edge curve between w and its parent, which encloses the holes owned
-    in w's subtree.  Only these vertices store their boxes, and each walks
-    up to the nearest one already stored, since ``order`` puts parents
-    first: a long chain owning no strings costs O(V), not O(V^2)."""
-    boxes = {order[0]: frozenset()}
-    for u in order[1:]:
-        if counts[u]:
-            path, v = [u], parent[u]
-            while v not in boxes:
-                path.append(v)
-                v = parent[v]
-            boxes[u] = boxes[v].union(path)
-    return boxes
-
-
 def _checked_counts(g: PlumbingGraph, root: int):
     """``string_counts(g)`` and ``rooted_tree(g, root)``; raises ValueError
     unless ``g`` meets the hypothesis above and ``root`` is admissible."""
@@ -167,6 +148,23 @@ def _checked_counts(g: PlumbingGraph, root: int):
     return counts, parent, order
 
 
+def _subtrees(parent: dict[int, int | None], order: list[int]):
+    """``(depth, entry, size)`` for the walk ``(parent, order)``: entry is
+    a depth-first preorder number, so w lies in u's subtree iff
+    entry[u] <= entry[w] < entry[u] + size[u].  Each child's range follows
+    its parent's entry and its earlier siblings' ranges."""
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    depth, entry, free = {order[0]: 0}, {order[0]: 0}, {order[0]: 1}
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+        entry[v] = free[parent[v]]
+        free[parent[v]] += size[v]
+        free[v] = entry[v] + 1
+    return depth, entry, size
+
+
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     """Strings, framings and pairwise linkings at ``root``; raises
     ValueError as ``_checked_counts`` does."""
@@ -174,12 +172,20 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
     counts[root] -= 1
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
     labels = ["u%d#%d" % (v, k) for v in g.ids() for k in range(counts[v])]
-    boxes = twist_boxes(parent, order, counts)
-    # Q[i][j] = -delta_ij - 1 - |boxes(u_i) & boxes(u_j)|, one row per owner.
-    linking = {u: [-1 - len(boxes[u] & boxes[w]) for w in owners] for u in set(owners)}
-    rows = [list(linking[u]) for u in owners]
-    for i, row in enumerate(rows):
-        row[i] -= 1
+    depth, entry, size = _subtrees(parent, order)
+    # One sweep of the walk per owner u: link[x] = -1 - depth(meet(u, x)),
+    # x's depth when x is u or an ancestor of u, else its parent's value.
+    rows = []
+    for u in dict.fromkeys(owners):
+        link = {}
+        for x in order:
+            link[x] = (-1 - depth[x] if entry[x] <= entry[u] < entry[x] + size[x]
+                       else link[parent[x]])
+        linking = [link[w] for w in owners]
+        for _ in range(counts[u]):
+            row = list(linking)
+            row[len(rows)] -= 1
+            rows.append(row)
     gram = intlin.GramMatrix.from_rows(rows, labels=labels)
     return DualConfiguration(root=root, owners=owners, gram=gram)
 
@@ -194,17 +200,7 @@ def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
     as ``build_dual(g, choose_root(g))`` does, with the same words."""
     counts, parent, order = _checked_counts(g, choose_root(g))
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
-    # Number the vertices in a depth-first preorder: v's subtree is then
-    # entry[v] <= entry[w] < entry[v] + size[v].  Each child's range
-    # follows its parent's entry and its earlier siblings' ranges.
-    size = dict.fromkeys(order, 1)
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    entry, free = {order[0]: 0}, {order[0]: 1}
-    for v in order[1:]:
-        entry[v] = free[parent[v]]
-        free[parent[v]] += size[v]
-        free[v] = entry[v] + 1
+    _, entry, size = _subtrees(parent, order)
     # The far side of an edge from the canonical dual root is the subtree
     # of its child end.
     edge_curves = []

@@ -41,6 +41,9 @@ class GramMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # Rows given as lists are stored as tuples; O(rank) when they are
+        # tuples already, since tuple() returns a tuple as is.
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         n = len(self.entries)
         if len(self.labels) != n:
             raise ValueError("labels/entries do not match rank")

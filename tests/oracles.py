@@ -2,9 +2,10 @@
 
 Everything here deliberately uses a different algorithm from the package:
 determinants by the permutation sum instead of elimination, definiteness
-by explicit leading minors, Wu classes by exhaustive enumeration, and the
-dual Gram matrix by counting twist boxes on the open book page rather
-than by shared root paths, and embeddings by enumerating every row with
+by explicit leading minors, Wu classes by exhaustive enumeration, the
+dual Gram matrix by counting twist boxes on the open book page (whose
+edge curves share the package's walk) and, independently of any walk,
+from tree distances alone, and embeddings by enumerating every row with
 no symmetry reduction.  ``curves_crossed`` reads string framings off the
 open book page, for comparison with the dual configuration,
 ``tree_distances`` counts edges by relaxing them until nothing changes,
@@ -17,6 +18,7 @@ dual lattice is claimed to sharpen.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -98,6 +100,32 @@ def box_model_dual_gram(graph: PlumbingGraph, root: int) -> list[list[int]]:
     return rows
 
 
+@functools.lru_cache(maxsize=64)
+def _all_distances(graph: PlumbingGraph) -> dict[int, dict[int, int]]:
+    """``tree_distances`` from every vertex, kept for a graph's other roots."""
+    return {u: tree_distances(graph, u) for u in graph.ids()}
+
+
+def distance_model_dual_gram(graph: PlumbingGraph, root: int) -> list[list[int]]:
+    """Dual Gram matrix from ``tree_distances`` alone: no walk, no open book.
+
+    Vertex v owns -e_v - d_v strings (one fewer at the root), listed by
+    ascending id.  A string owned by u is framed -2 - d(u, r), and strings
+    owned by u and w link by -1 minus the edges their root paths share,
+    (d(u, r) + d(w, r) - d(u, w)) / 2.
+    """
+    count = {v: -e for v, e in graph.vertices}
+    for a, b in graph.edges:
+        count[a] -= 1
+        count[b] -= 1
+    count[root] -= 1
+    owners = [v for v in sorted(count) for _ in range(count[v])]
+    dist = _all_distances(graph)
+    return [[-2 - dist[u][root] if i == j
+             else -1 - (dist[u][root] + dist[w][root] - dist[u][w]) // 2
+             for j, w in enumerate(owners)] for i, u in enumerate(owners)]
+
+
 def curves_crossed(ob: OpenBookDescription, hole: int, outer: int) -> int:
     """Twist curves separating ``hole`` from the ``outer`` hole.
 
@@ -158,6 +186,23 @@ def random_valid_tree(rng: random.Random, max_vertices: int = 8) -> PlumbingGrap
         graph = PlumbingGraph(vertices=vertices, edges=tuple(edges))
         if validate(graph).all_ok:
             return graph
+
+
+def random_deep_tree(rng: random.Random, n: int, reach: int = 3) -> PlumbingGraph:
+    """A tree on n vertices in which each new vertex joins one of the
+    ``reach`` before it, framed -d_v - {0, 1, 2} with -e_0 - d_0 >= 1.
+
+    Every string count is then >= 0 and one is positive, so the form is
+    strictly diagonally dominant somewhere and weakly everywhere: with the
+    tree connected, negative definite, and ``validate`` accepts it.
+    """
+    edges = tuple((rng.randint(max(0, v - reach), v - 1), v) for v in range(1, n))
+    degree = [0] * n
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    vertices = tuple((v, -degree[v] - rng.randint(0 if v else 1, 2)) for v in range(n))
+    return PlumbingGraph(vertices=vertices, edges=edges)
 
 
 def naive_embed_oracle(q: GramMatrix, r: int) -> EmbeddingOutcome:

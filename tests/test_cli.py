@@ -488,6 +488,24 @@ def test_a_chain_at_the_vertex_bound_runs_dual_under_a_memory_cap(tmp_path):
     assert proc.stdout.count("vertex %d," % (MAX_VERTICES - 1)) == 2
 
 
+def test_an_all_minus_three_chain_at_the_vertex_bound_obstructs_under_a_memory_cap(tmp_path):
+    # Every vertex owns a string, so the dual has 2,048 owners at 2,048
+    # depths.  The pipeline builds it before the determinant, the
+    # Fibonacci number F(4098) and no square, obstructs.
+    text = "".join("v %d -3\n" % v for v in range(MAX_VERTICES)) + "".join(
+        "e %d %d\n" % (v, v + 1) for v in range(MAX_VERTICES - 1))
+    path = write(tmp_path, "g.txt", text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()",
+         "obstruct", "--budget-nodes", "0", path],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: obstructed" in proc.stdout
+    assert "is not a square" in proc.stdout
+
+
 def _ring(n: int) -> str:
     return chain(n) + "e 0 %d\n" % (n - 1)
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_model_dual_gram, nd_by_minors, random_valid_tree, tree_distances
+from oracles import (
+    box_model_dual_gram,
+    distance_model_dual_gram,
+    nd_by_minors,
+    random_deep_tree,
+    random_valid_tree,
+    tree_distances,
+)
 from plumbcap import dualcap
 from plumbcap.dualcap import (
     NoAdmissibleRootError,
@@ -167,11 +174,36 @@ def test_dual_gram_matches_box_model():
         got = [list(r) for r in build_dual(g, root).gram.entries]
         assert got == box_model_dual_gram(g, root)
     rng = random.Random(518)
-    for _ in range(60):
-        g = random_valid_tree(rng)
+    graphs = [random_valid_tree(rng) for _ in range(60)]
+    graphs += [random_deep_tree(rng, rng.randint(2, 16)) for _ in range(30)]
+    for g in graphs:
         for root in admissible_roots(g):
             got = [list(r) for r in build_dual(g, root).gram.entries]
             assert got == box_model_dual_gram(g, root)
+
+
+def minus_three_chain(n: int) -> PlumbingGraph:
+    return PlumbingGraph(vertices=tuple((v, -3) for v in range(n)),
+                         edges=tuple((v, v + 1) for v in range(n - 1)))
+
+
+def test_dual_gram_matches_distance_model():
+    # The linking law checked against tree distances only: the box model
+    # above reads the open book, whose edge curves come from the same walk
+    # as build_dual's depths.  Deep trees and -3 chains give every string
+    # its own owner at many depths, so meets lie far below the root.
+    rng = random.Random(521)
+    graphs = [random_valid_tree(rng) for _ in range(60)]
+    graphs += [minus_three_chain(n) for n in range(2, 41)]
+    deep = [random_deep_tree(rng, rng.randint(2, 30)) for _ in range(40)]
+    assert all(validate(g).all_ok for g in deep)
+    duals = 0
+    for g in graphs + deep:
+        for root in admissible_roots(g):
+            got = [list(r) for r in build_dual(g, root).gram.entries]
+            assert got == distance_model_dual_gram(g, root), (g, root)
+            duals += 1
+    assert duals > 1000
 
 
 def test_dual_gram_negative_definite():

@@ -53,6 +53,18 @@ def test_gram_matrix_rejects_bad_input():
         GramMatrix(labels=("a", "b"), entries=((-2,),))
     with pytest.raises(ValueError):
         GramMatrix(labels=("a",), entries=((-2, 0),))
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+        GramMatrix(labels=("a", "b"), entries=([-2, 1], [0, -2]))
+
+
+def test_gram_matrix_stores_list_rows_as_tuples():
+    # A list never equals the transpose's tuple, so the symmetry check
+    # needs tuple rows; rows that are tuples already are kept, not copied.
+    q = GramMatrix(labels=("a", "b"), entries=([-2, 1], [1, -2]))
+    assert q.entries == ((-2, 1), (1, -2))
+    assert q == GramMatrix.from_rows([[-2, 1], [1, -2]], labels=["a", "b"])
+    rows = ((-2, 1), (1, -2))
+    assert GramMatrix(labels=("a", "b"), entries=rows).entries[0] is rows[0]
 
 
 def test_rank_zero_conventions():
