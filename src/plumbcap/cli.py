@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     roots = sub.add_mutually_exclusive_group()
     roots.add_argument("--root", type=int, default=None, help="use this root only")
     roots.add_argument("--all-roots", action="store_true",
-                       help="run the search at every admissible root")
+                       help="report every admissible root: the first search to "
+                            "complete, from the default root on, decides them all")
     sub.add_argument("--fail-on-inconclusive", action="store_true",
                      help="exit 1 unless the run obstructs")
 

@@ -34,11 +34,28 @@ tree edge and 1 + (children of u) on the diagonal, which the count of u's
 own strings, -e_u - d_u (one less at the root), tops up to -e_u.  Hence
 |det Q_dual| = |det Q_T| at every admissible root, and the pipeline reads
 the dual's determinant off the tree form instead of eliminating the dual.
+
+The dual does not depend on the root, up to isometry.  Let r != r2 be
+admissible and s* the last string of r2 at r (label u{r2}#{c - 1}, with
+c = -e_r2 - d_r2): the dual at r2 has the same strings but s*, plus r's
+extra string.  Then v'_t = v_s* - v_t for every shared string t and
+v'_s* = v_s* for r's extra one have exactly the Gram matrix of the dual
+at r2 (``change_root``).  Proof: with P = -Q, a tree's depth(meet(x, y))
+= (d(x, r) + d(y, r) - d(x, y)) / 2 gives P[t][u] = delta_tu + 1 +
+(d(x, r) + d(y, r) - d(x, y)) / 2 for strings owned by x and y, and
+P[s*][s*] = 2 + d(r2, r).  In P[s*][s*] - P[s*][u] - P[t][s*] + P[t][u]
+every d(., r) cancels, leaving delta_tu + 1 + (d(x, r2) + d(y, r2) -
+d(x, y)) / 2; P[s*][s*] - P[t][s*] = 1 + (d(x, r2) + d(r, r2) - d(x, r))
+/ 2; and 2 + d(r, r2) frames r's extra string at r2.  The change is its
+own inverse, so unimodular, and a witness M at r gives M'_t = M_s* - M_t,
+M'_s* = M_s* at r2: a dual embeds at one admissible root exactly when it
+embeds at all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from . import intlin
 from .plumbing import PlumbingGraph, rooted_tree
@@ -188,6 +205,17 @@ def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
             rows.append(row)
     gram = intlin.GramMatrix.from_rows(rows, labels=labels)
     return DualConfiguration(root=root, owners=owners, gram=gram)
+
+
+def change_root(dual: DualConfiguration, to: DualConfiguration, rows) -> tuple:
+    """``rows``, one per string of ``dual``, in the basis of ``to``, the
+    dual of the same graph at another root (see the module docstring):
+    row s* for ``dual.root``'s extra string, which ``dual`` lacks, and row
+    s* minus row t for every string t the two share."""
+    index = {label: i for i, label in enumerate(dual.gram.labels)}
+    star = tuple(rows[index["u%d#%d" % (to.root, to.owners.count(to.root))]])
+    return tuple(star if label not in index else tuple(map(sub, star, rows[index[label]]))
+                 for label in to.gram.labels)
 
 
 def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 Validates a plumbing graph, builds the dual configuration at one or more
 roots, and runs the diagonal-lattice embedding search at the dual rank.
+The duals at any two admissible roots are isometric (``dualcap``), so
+one completed search decides every root.
 Every dual is negative definite with |det| equal to the tree form's (see
 ``dualcap``), so the tree's determinant serves every root and no dual is
 eliminated.  No V x V form is built either: ``validate`` decides the
@@ -21,9 +23,10 @@ values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dualcap import admissible_roots, build_dual, choose_root
+from . import embedder
+from .dualcap import admissible_roots, build_dual, change_root, choose_root
 from .embedder import EmbeddingOutcome, embed_diagonal
 # determinant, gram_matrix, mu_bar and wu_classes are not called here
 # (every graph is validated, and a tree eliminated, in O(V + E) with no
@@ -40,10 +43,13 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class RootResult:
-    """Embedding verdict for the dual configuration built at one root."""
+    """Embedding verdict for the dual configuration built at one root;
+    ``carried_from`` names the root whose search decided it when that is
+    another root, and then ``outcome`` has 0 nodes."""
 
     root: int
     outcome: EmbeddingOutcome
+    carried_from: int | None = None
 
     @property
     def verdict(self) -> str:
@@ -52,11 +58,14 @@ class RootResult:
         return INCONCLUSIVE if self.outcome.embeddable else OBSTRUCTED
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
-        return {
+        doc = {
             "root": self.root,
             "verdict": self.verdict,
             "outcome": self.outcome.to_json_dict(include_timings),
         }
+        if self.carried_from is not None:
+            doc["carried_from"] = self.carried_from
+        return doc
 
 
 @dataclass(frozen=True)
@@ -115,37 +124,55 @@ def qhd_obstruction(
     """Run the full obstruction test on a validated plumbing graph.
 
     By default only the canonical root (most strings, lowest id on ties)
-    is tried; one failed embedding at any root already obstructs, so
-    all_roots mostly serves cross-checking.  Raises ValidationFailure if
-    the graph is not a negative definite tree with reduced fundamental
-    cycle; the failure carries the validation report.
+    is tried.  all_roots reports every admissible root, but cannot change
+    a verdict: the canonical root is searched first, then the others in
+    id order, each with the whole budget, until one search completes, and
+    every root takes that result, a witness carried by
+    ``dualcap.change_root`` and verified at its root.  Raises
+    ValidationFailure if the graph is not a negative definite tree with
+    reduced fundamental cycle; the failure carries the validation report.
     """
     started = time.monotonic()
     report = validate(graph)
     if not report.all_ok:
         raise ValidationFailure(report)
-    if root is not None:
-        roots = [root]
-    elif all_roots:
-        roots = list(admissible_roots(graph))
+    if root is None:
+        root = choose_root(graph)
+        roots = admissible_roots(graph) if all_roots else (root,)
     else:
-        roots = [choose_root(graph)]
+        roots = (root,)
 
     det = report.determinant
+    outcomes = {}
+    for searched in sorted(roots, key=lambda r: r != root):
+        source = build_dual(graph, searched)
+        outcome = outcomes[searched] = embed_diagonal(
+            source.gram, source.gram.rank, budget, determinant=abs(det))
+        if outcome.completed:
+            break
     results = []
-    dual_rank = 0
     for r in roots:
-        dual = build_dual(graph, r)
-        dual_rank = dual.gram.rank
-        outcome = embed_diagonal(dual.gram, dual.gram.rank, budget, determinant=abs(det))
-        results.append(RootResult(r, outcome))
+        if r == searched or not outcome.completed or outcome.certificate:
+            # r's own search, or a certificate, which decides every root.
+            results.append(RootResult(r, outcomes.get(r, outcome)))
+            continue
+        witness = None
+        if outcome.witness is not None:
+            dual = build_dual(graph, r)
+            witness = change_root(source, dual, outcome.witness)
+            # Through the module, so that a wrapper sees this check too.
+            if not embedder.verify_witness(dual.gram, witness):
+                raise RuntimeError("the witness carried from root %d does not verify "
+                                   "at root %d" % (searched, r))
+        results.append(RootResult(
+            r, replace(outcome, witness=witness, nodes=0, millis=0), searched))
 
     wu_support, mu = tree_wu_class(graph) if det % 2 else (None, None)
     total_millis = int((time.monotonic() - started) * 1000)
     return ObstructionReport(
         graph=graph,
         validation=report,
-        dual_rank=dual_rank,
+        dual_rank=source.gram.rank,
         results=tuple(results),
         wu_support=wu_support,
         mu_bar=mu,
@@ -163,21 +190,19 @@ def render_report(report: ObstructionReport, include_timings: bool = True) -> st
         "dual configuration rank: %d" % report.dual_rank,
     ]
     for result in report.results:
-        timing = ""
-        if include_timings:
-            timing = ", %d ms" % result.outcome.millis
+        timing = ", %d ms" % result.outcome.millis if include_timings else ""
+        detail = "(%d nodes%s)" % (result.outcome.nodes, timing)
+        if result.carried_from is not None:
+            detail = "(carried from root %d)" % result.carried_from
         if result.outcome.certificate == "determinant":
             text = "no embedding into <-1>^%d: determinant %d is not a square" % (
                 report.dual_rank, result.outcome.determinant)
         elif result.verdict == OBSTRUCTED:
-            text = "no embedding into <-1>^%d (%d nodes%s)" % (
-                report.dual_rank, result.outcome.nodes, timing)
+            text = "no embedding into <-1>^%d %s" % (report.dual_rank, detail)
         elif result.verdict == INCONCLUSIVE:
-            text = "embeds into <-1>^%d (%d nodes%s)" % (
-                report.dual_rank, result.outcome.nodes, timing)
+            text = "embeds into <-1>^%d %s" % (report.dual_rank, detail)
         else:
-            text = "search budget exhausted (%d nodes%s)" % (
-                result.outcome.nodes, timing)
+            text = "search budget exhausted %s" % detail
         lines.append("root %d: %s" % (result.root, text))
     if report.verdict == OBSTRUCTED:
         lines.append("verdict: obstructed; no rational homology disk filling exists")

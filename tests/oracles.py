@@ -25,7 +25,8 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from plumbcap.dualcap import OpenBookDescription, build_open_book
+from plumbcap.dualcap import (OpenBookDescription, admissible_roots, build_dual,
+                              build_open_book)
 from plumbcap.embedder import EmbeddingOutcome, embed_diagonal
 from plumbcap.intlin import GramMatrix
 from plumbcap.plumbing import PlumbingGraph, gram_matrix, validate
@@ -362,3 +363,12 @@ def plumbing_lattice_embeds(g: PlumbingGraph) -> EmbeddingOutcome:
     manifold, so the tree form Q_T embeds in <-1>^V.  ``.embeddable`` of
     the result is the verdict; the search runs with no budget."""
     return embed_diagonal(gram_matrix(g), len(g.vertices), None)
+
+
+def search_every_root(graph: PlumbingGraph, budget: int | None = None) -> dict:
+    """The embedding search at every admissible root, each on its own
+    dual, by root: the loop ``obstruct --all-roots`` ran before one
+    completed search was carried to every root."""
+    det = abs(validate(graph).determinant)
+    return {r: embed_diagonal(dual.gram, dual.gram.rank, budget, determinant=det)
+            for r in admissible_roots(graph) for dual in [build_dual(graph, r)]}

@@ -1,9 +1,12 @@
 import random
+from itertools import compress
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_pipeline import hirzebruch_jung_chain
 from oracles import (
     box_model_dual_gram,
     distance_model_dual_gram,
@@ -18,6 +21,7 @@ from plumbcap.dualcap import (
     admissible_roots,
     build_dual,
     build_open_book,
+    change_root,
     choose_root,
     string_counts,
 )
@@ -204,6 +208,45 @@ def test_dual_gram_matches_distance_model():
             assert got == distance_model_dual_gram(g, root), (g, root)
             duals += 1
     assert duals > 1000
+
+
+def times(a, b):
+    """The matrix product A B, summed over A's nonzero entries only."""
+    product = []
+    for row in a:
+        out = [0] * len(b[0])
+        for k in compress(range(len(row)), row):
+            out = [o + row[k] * y for o, y in zip(out, b[k])]
+        product.append(tuple(out))
+    return product
+
+
+def test_change_root_is_an_isometry_between_every_two_roots():
+    # dualcap's theorem: with U from change_root, U G_r U^T = G_r2 exactly
+    # for every ordered pair of admissible roots, and U's inverse is the
+    # change back, so U is unimodular.  G_r2 is also checked against tree
+    # distances alone.
+    graphs = [hirzebruch_jung_chain(m * m, q)
+              for m in range(2, 12) for q in range(1, m * m) if gcd(m, q) == 1]
+    rng = random.Random(529)
+    graphs += [random_valid_tree(rng) for _ in range(500)]
+    graphs += [random_deep_tree(rng, rng.randint(1, 25)) for _ in range(100)]
+    pairs = 0
+    for g in graphs:
+        duals = {r: build_dual(g, r) for r in admissible_roots(g)}
+        for r, dual in duals.items():
+            gram = dual.gram.entries
+            assert [list(row) for row in gram] == distance_model_dual_gram(g, r), (g, r)
+            identity = [tuple(int(i == j) for j in range(len(gram))) for i in range(len(gram))]
+            for r2, other in duals.items():
+                if r2 == r:
+                    continue
+                u = change_root(dual, other, identity)
+                carried = times(u, list(zip(*times(u, gram))))
+                assert carried == list(other.gram.entries), (g, r, r2)
+                assert list(change_root(other, dual, u)) == identity, (g, r, r2)
+                pairs += 1
+    assert pairs == 1724 + 6538 + 10476  # lens, valid and deep trees
 
 
 def test_dual_gram_negative_definite():

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +10,25 @@ from hypothesis import given, settings
 from test_plumbing import plumbing_trees
 from oracles import (
     d_allows_rational_ball,
+    distance_model_dual_gram,
     lens_d,
     plumbing_lattice_embeds,
     random_valid_tree,
+    search_every_root,
 )
 
 import plumbcap.intlin
 import plumbcap.pipeline
 import plumbcap.plumbing
 from plumbcap.cli import cli_main
+from plumbcap.dualcap import choose_root
 from plumbcap.embedder import verify_witness
 from plumbcap.intlin import GramMatrix, mu_bar, wu_classes
 from plumbcap.pipeline import (
     INCONCLUSIVE,
     OBSTRUCTED,
     UNDECIDED,
+    RootResult,
     _combine,
     qhd_obstruction,
     render_report,
@@ -250,6 +255,61 @@ def lisca_family(m_max: int) -> list[tuple[int, int]]:
         if closed == found:
             return sorted(found)
         found = closed
+
+
+def test_all_roots_carries_the_canonical_search_to_every_root():
+    """``--all-roots`` against the old loop, a search at every root: the
+    same verdict at each root, every carried witness an embedding of that
+    root's dual as tree distances give it, and the canonical root's
+    search that of the default run."""
+    graphs = [hirzebruch_jung_chain(m * m, q)
+              for m in range(2, 12) for q in range(1, m * m) if gcd(m, q) == 1]
+    rng = random.Random(31)
+    while len(graphs) < 326 + 100:
+        g = random_valid_tree(rng, 10)
+        det = abs(validate(g).determinant)
+        if isqrt(det) ** 2 == det:
+            graphs.append(g)
+    tally = {INCONCLUSIVE: 0, OBSTRUCTED: 0}
+    for g in graphs:
+        report = qhd_obstruction(g, all_roots=True)
+        reference = search_every_root(g)
+        canonical = choose_root(g)
+        default = qhd_obstruction(g).results[0].outcome
+        assert [r.root for r in report.results] == list(reference)
+        for result in report.results:
+            outcome = result.outcome
+            assert result.verdict == RootResult(result.root, reference[result.root]).verdict
+            if result.root == canonical or outcome.certificate is not None:
+                assert result.carried_from is None
+            else:
+                assert (result.carried_from, outcome.nodes) == (canonical, 0)
+                tally[result.verdict] += 1
+            if result.root == canonical:
+                assert (outcome.nodes, outcome.witness) == (default.nodes, default.witness)
+            if outcome.witness is not None:
+                gram = distance_model_dual_gram(g, result.root)
+                assert [[sum(map(mul, x, y)) for y in outcome.witness]
+                        for x in outcome.witness] == [[-v for v in row] for row in gram]
+    assert tally == {INCONCLUSIVE: 460, OBSTRUCTED: 182}
+
+
+def test_all_roots_takes_a_later_roots_search_when_the_budget_stops_the_first(tmp_path):
+    # L(25, 9) is the chain (-3, -5, -2): a search takes 27 nodes at the
+    # canonical root 1, then 32 at root 0 and 22 at root 2.
+    g = hirzebruch_jung_chain(25, 9)
+    assert {r: o.nodes for r, o in search_every_root(g).items()} == {0: 32, 1: 27, 2: 22}
+    report = qhd_obstruction(g, all_roots=True, budget=22)
+    assert [(r.root, r.verdict, r.outcome.nodes, r.carried_from) for r in report.results] == [
+        (0, INCONCLUSIVE, 0, 2), (1, INCONCLUSIVE, 0, 2), (2, INCONCLUSIVE, 22, None)]
+    path = tmp_path / "chain.txt"
+    path.write_text(serialize_plumbing(g))
+    argv = ["obstruct", str(path), "--all-roots", "--no-timings", "--budget-nodes"]
+    assert cli_main(argv + ["22"]) == 0
+    undecided = qhd_obstruction(g, all_roots=True, budget=0)
+    assert [(r.verdict, r.outcome.nodes, r.carried_from) for r in undecided.results] == [
+        (UNDECIDED, 1, None)] * 3
+    assert cli_main(argv + ["0"]) == 4
 
 
 def test_gamma_n_passes_the_classical_test_that_the_cap_refines():
