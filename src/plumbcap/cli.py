@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--gram", action="store_true",
                       help="input is a gram JSON file instead of a graph")
     search.add_argument("--budget-nodes", type=int, default=None,
-                        help="node budget (default: unlimited)")
+                        help="node budget of the one search (default: unlimited)")
     search.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock fields from the output")
 
@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     roots = sub.add_mutually_exclusive_group()
     roots.add_argument("--root", type=int, default=None, help="use this root only")
     roots.add_argument("--all-roots", action="store_true",
-                       help="report every admissible root: the first search to "
-                            "complete, from the default root on, decides them all")
+                       help="report every admissible root, each with the outcome "
+                            "of the one search at the default root")
     sub.add_argument("--fail-on-inconclusive", action="store_true",
                      help="exit 1 unless the run obstructs")
 

@@ -1,9 +1,9 @@
 """End-to-end obstruction pipeline.
 
-Validates a plumbing graph, builds the dual configuration at one or more
-roots, and runs the diagonal-lattice embedding search at the dual rank.
+Validates a plumbing graph, builds the dual configuration at one root,
+and runs the diagonal-lattice embedding search at the dual rank, once.
 The duals at any two admissible roots are isometric (``dualcap``), so
-one completed search decides every root.
+that one search's outcome is every root's.
 Every dual is negative definite with |det| equal to the tree form's (see
 ``dualcap``), so the tree's determinant serves every root and no dual is
 eliminated.  No V x V form is built either: ``validate`` decides the
@@ -44,8 +44,8 @@ UNDECIDED = "undecided"
 @dataclass(frozen=True)
 class RootResult:
     """Embedding verdict for the dual configuration built at one root;
-    ``carried_from`` names the root whose search decided it when that is
-    another root, and then ``outcome`` has 0 nodes."""
+    ``carried_from`` names the searched root when that is another root,
+    and then ``outcome`` is the searched root's with 0 nodes."""
 
     root: int
     outcome: EmbeddingOutcome
@@ -83,7 +83,7 @@ class ObstructionReport:
 
     @property
     def verdict(self) -> str:
-        return _combine([r.verdict for r in self.results])
+        return self.results[0].verdict
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         doc: dict = {
@@ -107,14 +107,6 @@ class ObstructionReport:
         return doc
 
 
-def _combine(verdicts: list[str]) -> str:
-    if OBSTRUCTED in verdicts:
-        return OBSTRUCTED
-    if UNDECIDED in verdicts:
-        return UNDECIDED
-    return INCONCLUSIVE
-
-
 def qhd_obstruction(
     graph: PlumbingGraph,
     root: int | None = None,
@@ -123,11 +115,10 @@ def qhd_obstruction(
 ) -> ObstructionReport:
     """Run the full obstruction test on a validated plumbing graph.
 
-    By default only the canonical root (most strings, lowest id on ties)
-    is tried.  all_roots reports every admissible root, but cannot change
-    a verdict: the canonical root is searched first, then the others in
-    id order, each with the whole budget, until one search completes, and
-    every root takes that result, a witness carried by
+    One root is searched, with the whole budget: ``root``, or else the
+    canonical root (most strings, lowest id on ties).  all_roots reports
+    every admissible root, each with the searched root's outcome, so it
+    cannot change the verdict or the nodes spent; a witness is carried by
     ``dualcap.change_root`` and verified at its root.  Raises
     ValidationFailure if the graph is not a negative definite tree with
     reduced fundamental cycle; the failure carries the validation report.
@@ -136,25 +127,17 @@ def qhd_obstruction(
     report = validate(graph)
     if not report.all_ok:
         raise ValidationFailure(report)
-    if root is None:
-        root = choose_root(graph)
-        roots = admissible_roots(graph) if all_roots else (root,)
-    else:
-        roots = (root,)
+    searched = choose_root(graph) if root is None else root
+    roots = admissible_roots(graph) if all_roots else (searched,)
 
     det = report.determinant
-    outcomes = {}
-    for searched in sorted(roots, key=lambda r: r != root):
-        source = build_dual(graph, searched)
-        outcome = outcomes[searched] = embed_diagonal(
-            source.gram, source.gram.rank, budget, determinant=abs(det))
-        if outcome.completed:
-            break
+    source = build_dual(graph, searched)
+    outcome = embed_diagonal(source.gram, source.gram.rank, budget, determinant=abs(det))
     results = []
     for r in roots:
-        if r == searched or not outcome.completed or outcome.certificate:
+        if r == searched or outcome.certificate:
             # r's own search, or a certificate, which decides every root.
-            results.append(RootResult(r, outcomes.get(r, outcome)))
+            results.append(RootResult(r, outcome))
             continue
         witness = None
         if outcome.witness is not None:

@@ -368,7 +368,7 @@ def plumbing_lattice_embeds(g: PlumbingGraph) -> EmbeddingOutcome:
 def search_every_root(graph: PlumbingGraph, budget: int | None = None) -> dict:
     """The embedding search at every admissible root, each on its own
     dual, by root: the loop ``obstruct --all-roots`` ran before one
-    completed search was carried to every root."""
+    search was carried to every root."""
     det = abs(validate(graph).determinant)
     return {r: embed_diagonal(dual.gram, dual.gram.rank, budget, determinant=det)
             for r in admissible_roots(graph) for dual in [build_dual(graph, r)]}

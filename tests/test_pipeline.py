@@ -29,7 +29,6 @@ from plumbcap.pipeline import (
     OBSTRUCTED,
     UNDECIDED,
     RootResult,
-    _combine,
     qhd_obstruction,
     render_report,
 )
@@ -168,12 +167,6 @@ def test_negative_budget_is_refused():
         qhd_obstruction(generate_gamma_n(3), budget=-1)
 
 
-def test_combined_verdict_priorities():
-    assert _combine([OBSTRUCTED, INCONCLUSIVE, UNDECIDED]) == OBSTRUCTED
-    assert _combine([INCONCLUSIVE, UNDECIDED]) == UNDECIDED
-    assert _combine([INCONCLUSIVE, INCONCLUSIVE]) == INCONCLUSIVE
-
-
 def test_gamma_7_report():
     report = qhd_obstruction(generate_gamma_n(7))
     assert report.verdict == OBSTRUCTED
@@ -262,8 +255,7 @@ def test_all_roots_carries_the_canonical_search_to_every_root():
     same verdict at each root, every carried witness an embedding of that
     root's dual as tree distances give it, and the canonical root's
     search that of the default run."""
-    graphs = [hirzebruch_jung_chain(m * m, q)
-              for m in range(2, 12) for q in range(1, m * m) if gcd(m, q) == 1]
+    graphs = square_lens_chains()
     rng = random.Random(31)
     while len(graphs) < 326 + 100:
         g = random_valid_tree(rng, 10)
@@ -279,6 +271,7 @@ def test_all_roots_carries_the_canonical_search_to_every_root():
         assert [r.root for r in report.results] == list(reference)
         for result in report.results:
             outcome = result.outcome
+            assert result.verdict == report.verdict
             assert result.verdict == RootResult(result.root, reference[result.root]).verdict
             if result.root == canonical or outcome.certificate is not None:
                 assert result.carried_from is None
@@ -294,22 +287,75 @@ def test_all_roots_carries_the_canonical_search_to_every_root():
     assert tally == {INCONCLUSIVE: 460, OBSTRUCTED: 182}
 
 
-def test_all_roots_takes_a_later_roots_search_when_the_budget_stops_the_first(tmp_path):
+def square_lens_chains() -> list[PlumbingGraph]:
+    """The 326 chains of L(m^2, q), m < 12, gcd(m, q) = 1."""
+    return [hirzebruch_jung_chain(m * m, q)
+            for m in range(2, 12) for q in range(1, m * m) if gcd(m, q) == 1]
+
+
+def test_all_roots_carries_an_exhausted_search_to_every_root(tmp_path, capsys):
     # L(25, 9) is the chain (-3, -5, -2): a search takes 27 nodes at the
-    # canonical root 1, then 32 at root 0 and 22 at root 2.
+    # canonical root 1, 32 at root 0 and 22 at root 2.  Only root 1 is
+    # searched, so a budget of 22 leaves every root undecided.
     g = hirzebruch_jung_chain(25, 9)
     assert {r: o.nodes for r, o in search_every_root(g).items()} == {0: 32, 1: 27, 2: 22}
     report = qhd_obstruction(g, all_roots=True, budget=22)
     assert [(r.root, r.verdict, r.outcome.nodes, r.carried_from) for r in report.results] == [
-        (0, INCONCLUSIVE, 0, 2), (1, INCONCLUSIVE, 0, 2), (2, INCONCLUSIVE, 22, None)]
+        (0, UNDECIDED, 0, 1), (1, UNDECIDED, 23, None), (2, UNDECIDED, 0, 1)]
     path = tmp_path / "chain.txt"
     path.write_text(serialize_plumbing(g))
-    argv = ["obstruct", str(path), "--all-roots", "--no-timings", "--budget-nodes"]
-    assert cli_main(argv + ["22"]) == 0
-    undecided = qhd_obstruction(g, all_roots=True, budget=0)
-    assert [(r.verdict, r.outcome.nodes, r.carried_from) for r in undecided.results] == [
-        (UNDECIDED, 1, None)] * 3
-    assert cli_main(argv + ["0"]) == 4
+    argv = ["obstruct", str(path), "--no-timings", "--budget-nodes"]
+    assert cli_main(argv + ["22"]) == 4
+    capsys.readouterr()
+    assert cli_main(argv + ["22", "--all-roots"]) == 4
+    assert capsys.readouterr().out.splitlines()[4:8] == [
+        "root 0: search budget exhausted (carried from root 1)",
+        "root 1: search budget exhausted (23 nodes)",
+        "root 2: search budget exhausted (carried from root 1)",
+        "verdict: undecided; raise the search budget",
+    ]
+    decided = qhd_obstruction(g, all_roots=True, budget=27)
+    assert [(r.verdict, r.outcome.nodes, r.carried_from) for r in decided.results] == [
+        (INCONCLUSIVE, 0, 1), (INCONCLUSIVE, 27, None), (INCONCLUSIVE, 0, 1)]
+    assert cli_main(argv + ["27", "--all-roots"]) == 0
+    assert "search budget exhausted" not in capsys.readouterr().out
+
+
+def test_all_roots_never_changes_the_verdict_or_the_nodes_spent():
+    for budget in (0, 10, 30, 100):
+        for g in square_lens_chains():
+            default = qhd_obstruction(g, budget=budget)
+            report = qhd_obstruction(g, all_roots=True, budget=budget)
+            assert report.verdict == default.verdict, (g, budget)
+            assert sum(r.outcome.nodes for r in report.results) == (
+                default.results[0].outcome.nodes), (g, budget)
+
+
+def test_an_explicit_root_is_searched_and_carried_to_every_root():
+    carried = 0
+    for g in (hirzebruch_jung_chain(25, 9), hirzebruch_jung_chain(121, 43),
+              hirzebruch_jung_chain(64, 13), generate_gamma_n(3)):
+        roots = [r.root for r in qhd_obstruction(g, all_roots=True).results]
+        for searched in roots:
+            if searched == choose_root(g):
+                continue
+            own = qhd_obstruction(g, root=searched).results[0].outcome
+            report = qhd_obstruction(g, root=searched, all_roots=True)
+            assert [r.root for r in report.results] == roots
+            for result in report.results:
+                outcome = result.outcome
+                assert result.verdict == report.verdict
+                if result.root == searched:
+                    assert result.carried_from is None
+                    assert (outcome.nodes, outcome.witness) == (own.nodes, own.witness)
+                    continue
+                assert (result.carried_from, outcome.nodes) == (searched, 0)
+                if outcome.witness is not None:
+                    gram = distance_model_dual_gram(g, result.root)
+                    assert [[sum(map(mul, x, y)) for y in outcome.witness]
+                            for x in outcome.witness] == [[-v for v in row] for row in gram]
+                    carried += 1
+    assert carried == 13
 
 
 def test_gamma_n_passes_the_classical_test_that_the_cap_refines():
