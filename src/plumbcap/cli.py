@@ -29,13 +29,14 @@ import sys
 from . import pipeline
 from .dualcap import build_dual, build_open_book, choose_root
 from .embedder import embed_diagonal
-from .intlin import GramMatrix, gram_from_json, mu_bar, wu_classes
+from .intlin import GramMatrix, check_mu_bar, gram_from_json, mu_bar, wu_classes
 from .plumbing import (
     MAX_VERTICES,
     generate_gamma_n,
     gram_matrix,
     parse_plumbing,
     serialize_plumbing,
+    tree_wu_class,
     validate,
 )
 
@@ -155,7 +156,12 @@ def _cmd_wu(args) -> tuple[int, dict | str]:
 
 
 def _cmd_mubar(args) -> tuple[int, dict | str]:
-    value = mu_bar(_load_gram(args))
+    graph = None if args.gram else _load_graph(args.file)
+    if graph and (report := validate(graph)).is_tree:  # O(V + E), no V x V form
+        check_mu_bar(report.determinant)
+        value = tree_wu_class(graph)[1]
+    else:
+        value = mu_bar(gram_matrix(graph) if graph else _load_gram(args))
     return EXIT_OK, {"mu_bar": value} if args.json else "mu-bar: %d" % value
 
 

@@ -167,57 +167,64 @@ def _satisfies_wu(masks: list[int], diag: list[int], bits: int) -> bool:
     return all((mask & bits).bit_count() & 1 == d for mask, d in zip(masks, diag))
 
 
-def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
-    """All Wu classes, the 0/1 solutions of Q w = diag(Q) over GF(2), as
-    sorted bit tuples indexed like the rows of Q.
+def wu_solutions(masks: list[int], diag: list[int]) -> list[int]:
+    """All 0/1 solutions of Q w = diag(Q) over GF(2) as bitmasks (bit k is
+    w_k), from Q's rows mod 2 as bitmasks and diag(Q) mod 2.
 
-    The system is always solvable for a symmetric matrix, and the solution
-    count is 2^(nullity of Q mod 2); it is a singleton exactly when det(Q)
-    is odd.  Q mod 2 is read once, as row bitmasks and diag(Q) mod 2.  The
-    solutions are a particular one p plus the span of a kernel basis b_1,
-    b_2, ...; since the system is linear, checking p and every p + b_i
-    checks every class.  Raises ValueError before listing when
-    2^nullity * rank exceeds MAX_WU_BITS.
+    A symmetric system is always solvable, with 2^(nullity of Q mod 2)
+    solutions: one exactly when det(Q) is odd.  A row is reduced by the
+    stored row of its lowest pivot column until none is left; each XOR
+    clears that column and touches only higher ones, so sparse rows (a
+    tree's, each child's column below its parent's) stay sparse.  Checking
+    a solution p and each p + b_i, b_i a kernel basis, checks them all.
+    Raises ValueError when 2^nullity * rank exceeds MAX_WU_BITS.
     """
-    n = q.rank
-    masks = [sum(1 << k for k, x in enumerate(row) if x & 1) for row in q.entries]
-    diag = [row[i] & 1 for i, row in enumerate(q.entries)]
-    # Row-reduce [mask | rhs] with rows as bitmasks.
-    reduced: list[tuple[int, int, int]] = []  # (pivot column, mask, rhs)
+    n = len(masks)
+    reduced: dict[int, tuple[int, int]] = {}  # pivot column -> (mask, rhs)
+    pivots = 0  # the pivot columns, as a bitmask
     for mask, rhs in zip(masks, diag):
-        for pcol, pmask, prhs in reduced:
-            if (mask >> pcol) & 1:
-                mask ^= pmask
-                rhs ^= prhs
+        while hit := mask & pivots:
+            pmask, prhs = reduced[(hit & -hit).bit_length() - 1]
+            mask, rhs = mask ^ pmask, rhs ^ prhs
         if mask:
-            pivot = (mask & -mask).bit_length() - 1
-            reduced.append((pivot, mask, rhs))
+            reduced[(mask & -mask).bit_length() - 1] = (mask, rhs)
+            pivots |= mask & -mask
         elif rhs:
             # diag(Q) always lies in the GF(2) column space of symmetric Q
             raise AssertionError("inconsistent characteristic-vector system")
-    reduced.sort()
-    pivot_cols = {pcol for pcol, _, _ in reduced}
     nullity = n - len(reduced)
     if n << nullity > MAX_WU_BITS:
         raise ValueError("too many Wu classes to list: 2^%d at rank %d exceeds "
                          "the bound of %d bits" % (nullity, n, MAX_WU_BITS))
 
+    back = sorted(reduced.items(), reverse=True)
+
     def solve(free: int) -> int:
         # Back-substitute, highest pivot first, from the free bits given.
         bits = free
-        for pcol, pmask, prhs in reversed(reduced):
+        for pcol, (pmask, prhs) in back:
             bits |= (prhs ^ ((pmask & bits).bit_count() & 1)) << pcol
         return bits
 
     # p, then p + b_i for the free column i of each basis vector b_i.
-    checked = [solve(0)] + [solve(1 << col) for col in range(n) if col not in pivot_cols]
+    checked = [solve(0)] + [solve(1 << col) for col in range(n) if not (pivots >> col) & 1]
     for bits in checked:
         if not _satisfies_wu(masks, diag, bits):
             raise RuntimeError("Wu class solver produced a vector that does not verify")
     classes = checked[:1]
     for bits in checked[1:]:
         classes += [c ^ bits ^ checked[0] for c in classes]
-    return sorted(tuple((bits >> k) & 1 for k in range(n)) for bits in classes)
+    return classes
+
+
+def wu_classes(q: GramMatrix) -> list[tuple[int, ...]]:
+    """All Wu classes, the 0/1 solutions of Q w = diag(Q) over GF(2), as
+    sorted bit tuples indexed like the rows of Q: ``wu_solutions`` of Q
+    read once mod 2, as row bitmasks and diag(Q) mod 2."""
+    masks = [sum(1 << k for k, x in enumerate(row) if x & 1) for row in q.entries]
+    diag = [row[i] & 1 for i, row in enumerate(q.entries)]
+    return sorted(tuple((bits >> k) & 1 for k in range(q.rank))
+                  for bits in wu_solutions(masks, diag))
 
 
 def mu_bar(q: GramMatrix) -> int:
@@ -228,13 +235,18 @@ def mu_bar(q: GramMatrix) -> int:
     when det(Q) is even (two or more Wu classes, no canonical choice).
     """
     minors = [1]  # so that rank 0 has determinant 1
-    if first_sylvester_violation(q, minors) is not None:
-        raise NotDefiniteError("mu_bar needs a negative definite form")
-    # Odd det Q is exactly an invertible Q mod 2: one Wu class.  Even
-    # det is refused before wu_classes lists 2^nullity classes.
-    if minors[-1] % 2 == 0:
-        raise NonUniqueSpinError(
-            "mu_bar needs odd determinant; the determinant is %d" % minors[-1])
+    definite = first_sylvester_violation(q, minors) is None
+    check_mu_bar(minors[-1] if definite else None)
     w = wu_classes(q)[0]
     support = [i for i, bit in enumerate(w) if bit]
     return -q.rank - sum(q.entries[i][j] for i in support for j in support)
+
+
+def check_mu_bar(det: int | None) -> None:
+    """Refuse what mu_bar refuses, given det Q, or None when Q is not
+    negative definite.  Odd det Q is exactly an invertible Q mod 2, so
+    even det is refused before wu_classes lists 2^nullity classes."""
+    if det is None:
+        raise NotDefiniteError("mu_bar needs a negative definite form")
+    if det % 2 == 0:
+        raise NonUniqueSpinError("mu_bar needs odd determinant; the determinant is %d" % det)

@@ -3,12 +3,13 @@
 Validates a plumbing graph, builds the dual configuration at one root,
 and runs the diagonal-lattice embedding search at the dual rank, once.
 The duals at any two admissible roots are isometric (``dualcap``), so
-that one search's outcome is every root's.
-Every dual is negative definite with |det| equal to the tree form's (see
-``dualcap``), so the tree's determinant serves every root and no dual is
-eliminated.  No V x V form is built either: ``validate`` decides the
-tree's definiteness and determinant, and ``tree_wu_class`` its Wu class
-and mu-bar, by one leaves-first elimination each, in O(V).  A completed
+that one search's outcome is every root's.  Every dual is negative
+definite with |det| equal to the tree form's (see ``dualcap``), so the
+tree's determinant serves every root and no dual is eliminated.  No V x
+V form is built either: ``validate`` decides the tree's definiteness and
+determinant by one leaves-first elimination, in O(V), and
+``tree_wu_class`` its Wu class and mu-bar by handing the tree's rows,
+leaves first, to the GF(2) solver ``intlin.wu_solutions``.  A completed
 search with no embedding, or a dual determinant that is not a perfect
 square (which the search checks first), obstructs a rational homology
 disk filling; an embedding found means the test is silent (it never
@@ -26,12 +27,10 @@ import time
 from dataclasses import dataclass, replace
 
 from . import embedder
-from .dualcap import admissible_roots, build_dual, change_root, choose_root
+from .dualcap import admissible_roots, build_dual, change_root, choose_root, string_counts
 from .embedder import EmbeddingOutcome, embed_diagonal
-# determinant, gram_matrix, mu_bar and wu_classes are not called here
-# (every graph is validated, and a tree eliminated, in O(V + E) with no
-# V x V form), but bench/tracing.py wraps the pipeline's functions by
-# name, these four included.
+# determinant, gram_matrix, mu_bar and wu_classes are not called here (no
+# V x V form is built), but bench/tracing.py wraps them here by name.
 from .intlin import determinant, mu_bar, wu_classes
 from .plumbing import (PlumbingGraph, ValidationFailure, ValidationReport, gram_matrix,
                        tree_wu_class, validate)
@@ -119,11 +118,13 @@ def qhd_obstruction(
     canonical root (most strings, lowest id on ties).  all_roots reports
     every admissible root, each with the searched root's outcome, so it
     cannot change the verdict or the nodes spent; a witness is carried by
-    ``dualcap.change_root`` and verified at its root.  Raises
+    ``dualcap.change_root`` and verified at its root.  Raises ValueError
+    first if the dual rank exceeds ``dualcap.MAX_DUAL_RANK``, then
     ValidationFailure if the graph is not a negative definite tree with
     reduced fundamental cycle; the failure carries the validation report.
     """
     started = time.monotonic()
+    string_counts(graph)
     report = validate(graph)
     if not report.all_ok:
         raise ValidationFailure(report)

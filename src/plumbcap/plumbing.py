@@ -295,51 +295,24 @@ def validate(g: PlumbingGraph) -> ValidationReport:
 def tree_wu_class(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
     """The support of the Wu class of a tree with odd det Q, and mu-bar.
 
-    The Wu class is the one 0/1 solution of Q w = diag(Q) mod 2, solved
-    by the leaves-first elimination of ``validate`` over GF(2).  Once its
-    children are folded in, v's equation reads c_v w_v + w_parent = r_v.
-    With c_v = 1 it gives w_v = w_parent + r_v and folds into the parent's
-    equation; with c_v = 0 it fixes w_parent = r_v instead, and the
-    parent's equation then gives w_v in terms of the grandparent's bit.
-    Odd det Q allows a vertex at most one such child, and not the root.
-    mu-bar is -V - w^T Q w, and w^T Q w is the sum of e_v over the support
-    plus twice the edges inside it.  Raises ValueError when the elimination
-    shows an even determinant, and RuntimeError if the class found fails an
-    equation.
+    The Wu class solves Q w = diag(Q) mod 2 by ``intlin.wu_solutions`` on
+    the tree's rows mod 2, leaves first: bit i is the vertex at place i of
+    the reversed ``rooted_tree`` walk, so each child's column lies below
+    its parent's and the rows stay sparse.  mu-bar is -V - w^T Q w.
+    Raises ValueError when det Q is even.
     """
-    parent, order = rooted_tree(g, g.ids()[0])
+    order = rooted_tree(g, g.ids()[0])[1][::-1]
+    bit = {v: 1 << i for i, v in enumerate(order)}
     framings = g.framing_map()
-    coef = {v: e & 1 for v, e in framings.items()}
-    rhs = dict(coef)
-    fixed = {}  # v -> (w_v, the zero child fixing it)
-    rule = {}  # v -> (anchor, offset): w_v = w_anchor + offset
-    for v in reversed(order):
-        p = parent[v]
-        if v in fixed:  # c_v w_v + w_child + w_p = r_v with w_v known
-            bit, child = fixed[v]
-            rule[v] = (None, bit)
-            rule[child] = (p, rhs[v] ^ (coef[v] & bit))
-            if p is not None:
-                rhs[p] ^= bit
-        elif coef[v]:
-            rule[v] = (p, rhs[v])
-            if p is not None:
-                coef[p] ^= 1
-                rhs[p] ^= rhs[v]
-        elif p is None or p in fixed:
-            raise ValueError("the determinant is even: the Wu class is not unique")
-        else:
-            fixed[p] = (rhs[v], v)
-    bits = {None: 0}  # a rule anchored at None gives a constant
-    for v in order:
-        anchor, offset = rule[v]
-        bits[v] = bits[anchor] ^ offset
-    adj = g.adjacency()
-    if any((framings[v] * bits[v] + sum(bits[u] for u in adj[v]) - framings[v]) % 2
-           for v in order):
-        raise RuntimeError("tree Wu class solver produced a vector that does not verify")
-    support = tuple(v for v in g.ids() if bits[v])
-    inside = sum(bits[a] & bits[b] for a, b in g.edges)
+    rows = {v: bit[v] if e & 1 else 0 for v, e in framings.items()}
+    for a, b in g.edges:
+        rows[a] |= bit[b]
+        rows[b] |= bit[a]
+    w, *others = intlin.wu_solutions([rows[v] for v in order], [framings[v] & 1 for v in order])
+    if others:
+        raise ValueError("the determinant is even: the Wu class is not unique")
+    support = tuple(v for v, _ in g.vertices if w & bit[v])
+    inside = sum(1 for a, b in g.edges if w & bit[a] and w & bit[b])
     return support, -len(order) - sum(framings[v] for v in support) - 2 * inside
 
 

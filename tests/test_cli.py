@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import resource
 import shlex
@@ -17,8 +18,9 @@ import plumbcap
 from plumbcap import cli, pipeline
 from plumbcap.cli import cli_main
 from plumbcap.dualcap import build_dual
-from plumbcap.intlin import GramMatrix
-from plumbcap.plumbing import MAX_VERTICES, generate_gamma_n, serialize_plumbing
+from plumbcap.intlin import GramMatrix, mu_bar
+from plumbcap.plumbing import (MAX_VERTICES, PlumbingGraph, generate_gamma_n, gram_matrix,
+                               serialize_plumbing)
 
 A2_JSON = json.dumps(GramMatrix.from_rows([[-2, 1], [1, -2]]).to_json_dict())
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,6 +41,13 @@ def test_gamma_n_prints_graph_file(capsys):
 def test_gamma_n_rejects_small_n(capsys):
     assert cli_main(["gamma-n", "1"]) == 2
     assert "n >= 2" in capsys.readouterr().err
+
+
+def test_gamma_n_upper_bound_in_process(capsys):
+    assert cli_main(["gamma-n", str(MAX_VERTICES - 5)]) == 2
+    assert capsys.readouterr().err == "plumbcap: gamma-n needs n <= %d\n" % (MAX_VERTICES - 6)
+    assert cli_main(["gamma-n", str(MAX_VERTICES - 6)]) == 0
+    assert capsys.readouterr().out.count("v ") == MAX_VERTICES
 
 
 def test_usage_errors_exit_2(capsys):
@@ -311,6 +320,43 @@ def test_mubar_exits_3_on_even_determinant(tmp_path, capsys):
     path = write(tmp_path, "g.txt", "v 0 -2\n")
     assert cli_main(["mubar", path]) == 3
     assert "plumbcap:" in capsys.readouterr().err
+
+
+def test_mubar_on_a_tree_runs_no_sylvester_scan(tmp_path, capsys, monkeypatch):
+    # A tree's mu-bar comes from validate and tree_wu_class, in O(V + E).
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Sylvester scan ran")
+
+    monkeypatch.setattr(plumbcap.intlin, "first_sylvester_violation", refuse)
+    framings = [-3] * 400
+    path = write(tmp_path, "g.txt", "".join("v %d %d\n" % v for v in enumerate(framings))
+                 + "".join("e %d %d\n" % (v, v + 1) for v in range(399)))
+    assert cli_main(["mubar", path]) == 0
+    assert capsys.readouterr().out == "mu-bar: 2\n"  # as the dense path gives
+    assert cli_main(["mubar", write(tmp_path, "c.txt", chain(MAX_VERTICES, end=-2))]) == 0
+    assert capsys.readouterr().out == "mu-bar: -%d\n" % MAX_VERTICES
+
+
+def test_mubar_tree_path_matches_the_dense_path(tmp_path, capsys):
+    # Same value, or same refusal text, as mu_bar on the dense form, for
+    # trees definite or not, of odd or even determinant, and graphs with
+    # a cycle, which keep the dense path.
+    rng = random.Random(31)
+    for k in range(300):
+        n = rng.randint(1, 8)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        if n > 2 and k % 5 == 0:
+            edges.add((0, n - 1))
+        g = PlumbingGraph(vertices=tuple((v, rng.randint(-5, 1)) for v in range(n)),
+                          edges=tuple(edges))
+        try:
+            expected = (0, "mu-bar: %d\n" % mu_bar(gram_matrix(g)), "")
+        except ValueError as exc:
+            expected = (3, "", "plumbcap: %s\n" % exc)
+        path = write(tmp_path, "g%d.txt" % k, serialize_plumbing(g))
+        code = cli_main(["mubar", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, serialize_plumbing(g)
 
 
 def test_obstruct_verdict_exit_codes(tmp_path, capsys):

@@ -133,6 +133,42 @@ def test_property_tree_wu_class_matches_dense_solver(g):
     if report.all_ok:
         obstruction = qhd_obstruction(g, budget=1)
         assert (obstruction.wu_support, obstruction.mu_bar) == expected
+    # Both callers share one solver, so check the class against the graph:
+    # every vertex equation e_v w_v + sum of w_u over u ~ v = e_v mod 2,
+    # and mu-bar = -V - w^T Q w.
+    support, mu = expected
+    w = {v: int(v in support) for v in g.ids()}
+    adj = g.adjacency()
+    assert all((e * w[v] + sum(w[u] for u in adj[v]) - e) % 2 == 0 for v, e in g.vertices)
+    x = [w[v] for v in g.ids()]
+    assert mu == -len(x) - sum(x[i] * q.entries[i][j] * x[j]
+                               for i in range(len(x)) for j in range(len(x)))
+
+
+def _chain(framings):
+    return PlumbingGraph(vertices=tuple(enumerate(framings)),
+                         edges=tuple((v, v + 1) for v in range(len(framings) - 1)))
+
+
+@pytest.mark.parametrize("g, support, mu", [
+    (_chain([-2] * 2048), (), -2048),
+    (_chain([-3] * 2047), tuple(range(0, 2047, 3)), 2),
+    (PlumbingGraph(vertices=((0, -2050),) + tuple((v, -3) for v in range(1, 2048)),
+                   edges=tuple((0, v) for v in range(1, 2048))), (0,), 2),
+], ids=["chain of -2s", "chain of -3s", "star"])
+def test_tree_wu_class_at_the_vertex_bound(g, support, mu):
+    assert tree_wu_class(g) == (support, mu)
+
+
+def test_obstruct_refuses_an_over_large_dual_rank_before_validating(monkeypatch):
+    # string_counts bounds the dual rank in O(V + E), before validate's
+    # elimination, whose numbers grow with the framings' digits.
+    def refuse(g):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr(plumbcap.pipeline, "validate", refuse)
+    with pytest.raises(ValueError, match="dual rank 99999999999999999999 exceeds the bound 4096"):
+        qhd_obstruction(parse_plumbing("v 0 -100000000000000000000\n"))
 
 
 def test_long_chain_obstructs_without_a_dense_form(tmp_path, monkeypatch, capsys):
