@@ -33,6 +33,7 @@ from .intlin import GramMatrix, check_mu_bar, gram_from_json, mu_bar, wu_classes
 from .plumbing import (
     MAX_VERTICES,
     generate_gamma_n,
+    graph_wu_classes,
     gram_matrix,
     parse_plumbing,
     serialize_plumbing,
@@ -63,12 +64,6 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str):
     return parse_plumbing(_read_text(path))
-
-
-def _load_gram(args) -> GramMatrix:
-    if args.gram:
-        return gram_from_json(_read_text(args.file))
-    return gram_matrix(_load_graph(args.file))
 
 
 def _resolve_budget(args) -> int | None:
@@ -145,12 +140,16 @@ def _cmd_embed(args) -> tuple[int, dict | str]:
 
 
 def _cmd_wu(args) -> tuple[int, dict | str]:
-    q = _load_gram(args)
-    classes = wu_classes(q)
+    if args.gram:
+        q = gram_from_json(_read_text(args.file))
+        labels, classes = list(q.labels), wu_classes(q)
+    else:  # read off the edges, with no V x V form
+        graph = _load_graph(args.file)
+        labels, classes = [str(v) for v in graph.ids()], graph_wu_classes(graph)
     if args.json:
-        return EXIT_OK, {"labels": list(q.labels), "classes": [list(w) for w in classes]}
+        return EXIT_OK, {"labels": labels, "classes": [list(w) for w in classes]}
     return EXIT_OK, "\n".join(
-        "wu class: %s" % (" ".join(label for label, bit in zip(q.labels, w) if bit)
+        "wu class: %s" % (" ".join(label for label, bit in zip(labels, w) if bit)
                           or "(empty)")
         for w in classes)
 
@@ -161,7 +160,7 @@ def _cmd_mubar(args) -> tuple[int, dict | str]:
         check_mu_bar(report.determinant)
         value = tree_wu_class(graph)[1]
     else:
-        value = mu_bar(gram_matrix(graph) if graph else _load_gram(args))
+        value = mu_bar(gram_matrix(graph) if graph else gram_from_json(_read_text(args.file)))
     return EXIT_OK, {"mu_bar": value} if args.json else "mu-bar: %d" % value
 
 

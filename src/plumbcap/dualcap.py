@@ -2,8 +2,9 @@
 lattice read off it, under Gay-Stipsicz's hypothesis (a rational surface
 singularity with reduced fundamental cycle): on a tree, every string count
 -e_v - d_v is >= 0 and one is positive.  Then -Q_T = I + B^T B below, so
-these are exactly the graphs ``validate`` accepts (see ``choose_root``),
-and ``_checked_counts`` decides them in O(V).
+these are exactly the graphs ``validate`` accepts (see ``choose_root``):
+``_checked_counts`` decides them in O(V), and on a refusal only runs
+``validate``, to word it as ``obstruct`` does.
 
 The page is a sphere with -e_v - d_v holes drilled near each vertex v, and
 the monodromy is the product of right-handed Dehn twists along one parallel
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from . import intlin
-from .plumbing import PlumbingGraph, rooted_tree
+from .plumbing import PlumbingGraph, ValidationFailure, rooted_tree, validate
 
 
 # The largest dual rank built.  The dual and the search tables grow as
@@ -68,7 +69,7 @@ MAX_DUAL_RANK = 4096
 
 
 class NoAdmissibleRootError(ValueError):
-    """No vertex satisfies -e_v - d_v > 0."""
+    """-e_v - d_v = 0 at the root asked for, in a graph with a cap."""
 
 
 @dataclass(frozen=True)
@@ -129,39 +130,32 @@ def string_counts(g: PlumbingGraph) -> dict[int, int]:
 def choose_root(g: PlumbingGraph) -> int:
     """The vertex maximizing -e_v - d_v, ties to the smallest id.
 
-    Raises NoAdmissibleRootError when the maximum is not positive.  For any
-    graph that passes validation an admissible root always exists: the
-    all-ones vector x has x^T Q x = sum(e_v) + 2|E| < 0 by definiteness,
-    so the counts sum to a positive number.
+    Raises ValidationFailure when the maximum is not positive.  Only a
+    graph outside the hypothesis gets there: for any graph that passes
+    validation the all-ones vector x has x^T Q x = sum(e_v) + 2|E| < 0 by
+    definiteness, so the counts sum to a positive number.
     """
     counts = string_counts(g)
     best = max(g.ids(), key=counts.get)  # the first maximum: smallest id
     if counts[best] <= 0:
-        raise NoAdmissibleRootError("no vertex has framing deficit -e_v - d_v > 0")
+        raise ValidationFailure(validate(g))
     return best
 
 
 def _checked_counts(g: PlumbingGraph, root: int):
-    """``string_counts(g)`` and ``rooted_tree(g, root)``; raises ValueError
-    unless ``g`` meets the hypothesis above and ``root`` is admissible."""
-    ids = g.ids()
-    if root not in set(ids):
-        raise ValueError("no vertex %d" % root)
-    if len(g.edges) != len(ids) - 1:
-        raise ValueError("dual configuration needs a tree")
+    """``string_counts(g)`` and ``rooted_tree(g, root)``; refuses in
+    ``obstruct``'s order: the rank bound, the hypothesis (ValidationFailure),
+    then the root ("no vertex R", or NoAdmissibleRootError)."""
     counts = string_counts(g)
+    parent, order = rooted_tree(g, root if root in counts else g.ids()[0])
+    if (len(order) != len(counts) or len(g.edges) != len(order) - 1
+            or min(counts.values()) < 0 or not any(counts.values())):
+        raise ValidationFailure(validate(g))
+    if root not in counts:
+        raise ValueError("no vertex %d" % root)
     if counts[root] <= 0:
         raise NoAdmissibleRootError(
             "root %d is not admissible: -e_v - d_v = %d at it" % (root, counts[root]))
-    for v in ids:
-        if counts[v] < 0:
-            e = g.framing_map()[v]
-            raise ValueError("vertex %d: %s (-e_v - d_v = %d)" % (
-                v, "framing %d is positive" % e if e > 0
-                else "framing smaller than valency", counts[v]))
-    parent, order = rooted_tree(g, root)
-    if len(order) != len(counts):
-        raise ValueError("graph is not connected")
     return counts, parent, order
 
 
@@ -183,8 +177,8 @@ def _subtrees(parent: dict[int, int | None], order: list[int]):
 
 
 def build_dual(g: PlumbingGraph, root: int) -> DualConfiguration:
-    """Strings, framings and pairwise linkings at ``root``; raises
-    ValueError as ``_checked_counts`` does."""
+    """Strings, framings and pairwise linkings at ``root``; raises as
+    ``_checked_counts`` does."""
     counts, parent, order = _checked_counts(g, root)
     counts[root] -= 1
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
@@ -224,8 +218,8 @@ def admissible_roots(g: PlumbingGraph) -> tuple[int, ...]:
 
 
 def build_open_book(g: PlumbingGraph) -> OpenBookDescription:
-    """The open book, holes numbered by ascending owner.  Raises ValueError
-    as ``build_dual(g, choose_root(g))`` does, with the same words."""
+    """The open book, holes numbered by ascending owner.  Raises as
+    ``build_dual(g, choose_root(g))`` does, with the same words."""
     counts, parent, order = _checked_counts(g, choose_root(g))
     owners = tuple(v for v in g.ids() for _ in range(counts[v]))
     _, entry, size = _subtrees(parent, order)

@@ -292,28 +292,34 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     )
 
 
-def tree_wu_class(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
-    """The support of the Wu class of a tree with odd det Q, and mu-bar.
-
-    The Wu class solves Q w = diag(Q) mod 2 by ``intlin.wu_solutions`` on
-    the tree's rows mod 2, leaves first: bit i is the vertex at place i of
-    the reversed ``rooted_tree`` walk, so each child's column lies below
-    its parent's and the rows stay sparse.  mu-bar is -V - w^T Q w.
-    Raises ValueError when det Q is even.
-    """
-    order = rooted_tree(g, g.ids()[0])[1][::-1]
+def graph_wu_classes(g: PlumbingGraph) -> list[tuple[int, ...]]:
+    """``intlin.wu_classes(gram_matrix(g))`` with no V x V form: the rows
+    mod 2, read off the edges, go to ``intlin.wu_solutions`` with bit i the
+    vertex at place i of the reversed ``rooted_tree`` walk from the lowest
+    id, then those the walk misses; on a tree each child's bit lies below
+    its parent's, so the rows stay sparse."""
+    ids = g.ids()
+    walk = rooted_tree(g, ids[0])[1]
+    order = walk[::-1] + sorted(set(ids).difference(walk))
     bit = {v: 1 << i for i, v in enumerate(order)}
     framings = g.framing_map()
     rows = {v: bit[v] if e & 1 else 0 for v, e in framings.items()}
     for a, b in g.edges:
         rows[a] |= bit[b]
         rows[b] |= bit[a]
-    w, *others = intlin.wu_solutions([rows[v] for v in order], [framings[v] & 1 for v in order])
+    solutions = intlin.wu_solutions([rows[v] for v in order], [framings[v] & 1 for v in order])
+    return sorted(tuple(int(w & bit[v] != 0) for v in ids) for w in solutions)
+
+
+def tree_wu_class(g: PlumbingGraph) -> tuple[tuple[int, ...], int]:
+    """The support of the Wu class w of a tree with odd det Q, and mu-bar
+    -V - w^T Q w.  Raises ValueError when det Q is even."""
+    w, *others = graph_wu_classes(g)
     if others:
         raise ValueError("the determinant is even: the Wu class is not unique")
-    support = tuple(v for v, _ in g.vertices if w & bit[v])
-    inside = sum(1 for a, b in g.edges if w & bit[a] and w & bit[b])
-    return support, -len(order) - sum(framings[v] for v in support) - 2 * inside
+    on = dict(zip(g.ids(), w))
+    wqw = sum(e * on[v] for v, e in g.vertices) + 2 * sum(on[a] & on[b] for a, b in g.edges)
+    return tuple(v for v in on if on[v]), -len(w) - wqw
 
 
 def generate_gamma_n(n: int) -> PlumbingGraph:

@@ -88,17 +88,19 @@ def test_closed_stdout_is_not_an_error(tmp_path):
     (["embed", "--rank", "-1", "-"], A2_JSON, 2, "target rank must be nonnegative"),
     # A triangle and an isolated vertex: |E| = |V| - 1, yet no tree.
     (["dual", "-"], "v 0 -3\nv 1 -3\nv 2 -3\nv 3 -2\ne 0 1\ne 1 2\ne 0 2\n", 3,
-     "graph is not connected"),
+     "invalid plumbing graph: not a tree (vertices [3])"),
     (["validate", "-"], "v 0 -2\ne 0 x\n", 3, "line 2: bad edge endpoint"),
     (["dual", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
     (["obstruct", "--root", "99", "-"], "v 0 -4\n", 3, "no vertex 99"),
 ] + [
-    # One check decides whether a graph has a cap, for both commands.
-    ([command, "-"], text, 3, err) for command in ("openbook", "dual") for text, err in (
-        ("v 0 -3\nv 1 -3\nv 2 -3\ne 0 1\ne 1 2\ne 0 2\n", "dual configuration needs a tree"),
+    # One check decides whether a graph has a cap, for both commands, and
+    # refuses in validate's words.
+    ([command, "-"], text, 3, "invalid plumbing graph: " + err)
+    for command in ("openbook", "dual") for text, err in (
+        ("v 0 -3\nv 1 -3\nv 2 -3\ne 0 1\ne 1 2\ne 0 2\n", "not a tree (vertices [1, 2])"),
         ("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n",
-         "vertex 0: framing smaller than valency (-e_v - d_v = -1)"),
-        ("v 0 -1\nv 1 -1\ne 0 1\n", "no vertex has framing deficit -e_v - d_v > 0"))
+         "framing smaller than valency (vertices [0])"),
+        ("v 0 -1\nv 1 -1\ne 0 1\n", "not negative definite (vertices [0])"))
 ])
 def test_rejected_input_prints_one_message(monkeypatch, capsys, argv, stdin, code, err):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -193,19 +195,20 @@ def test_dual_without_admissible_root_exits_3(tmp_path, capsys):
     path = write(tmp_path, "g.txt", star)
     assert cli_main(["dual", path]) == 3
     err = capsys.readouterr().err
-    assert err == "plumbcap: no vertex has framing deficit -e_v - d_v > 0\n"
+    assert err == "plumbcap: invalid plumbing graph: not negative definite (vertices [0])\n"
 
 
 def test_dual_rejects_negative_string_counts(tmp_path, capsys):
     # validate rejects both: the first as vertex 0's framing is smaller
     # than its valency, the second as its framing 2 is not negative definite.
     for text, fault in (("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n",
-                         "framing smaller than valency (-e_v - d_v = -1)"),
+                         "framing smaller than valency"),
                         ("v 0 2\nv 1 -9\ne 0 1\n",
-                         "framing 2 is positive (-e_v - d_v = -3)")):
+                         "not negative definite")):
         path = write(tmp_path, "g.txt", text)
         assert cli_main(["dual", path]) == 3
-        assert capsys.readouterr().err == "plumbcap: vertex 0: %s\n" % fault
+        assert capsys.readouterr().err == (
+            "plumbcap: invalid plumbing graph: %s (vertices [0])\n" % fault)
 
 
 def test_embed_rank_toggle(tmp_path, capsys):
@@ -335,6 +338,17 @@ def test_mubar_on_a_tree_runs_no_sylvester_scan(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "mu-bar: 2\n"  # as the dense path gives
     assert cli_main(["mubar", write(tmp_path, "c.txt", chain(MAX_VERTICES, end=-2))]) == 0
     assert capsys.readouterr().out == "mu-bar: -%d\n" % MAX_VERTICES
+
+
+def test_wu_on_a_graph_builds_no_gram_matrix(tmp_path, capsys, monkeypatch):
+    # A graph's Wu classes come from its edges, with no V x V form.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a V x V form was built")
+
+    monkeypatch.setattr(plumbcap.plumbing, "gram_matrix", refuse)
+    monkeypatch.setattr(plumbcap.cli, "gram_matrix", refuse)
+    assert cli_main(["wu", write(tmp_path, "c.txt", chain(MAX_VERTICES, end=-2))]) == 0
+    assert capsys.readouterr() == ("wu class: (empty)\n", "")
 
 
 def test_mubar_tree_path_matches_the_dense_path(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from oracles import random_valid_tree
 from plumbcap.cli import cli_main
-from plumbcap.plumbing import generate_gamma_n, serialize_plumbing
+from plumbcap.plumbing import generate_gamma_n, parse_plumbing, serialize_plumbing
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -86,6 +86,26 @@ def digests() -> dict[str, str]:
 
 def test_cli_output_matches_the_golden_digests():
     assert digests() == json.loads(GOLDEN.read_text())
+
+
+def test_dual_and_openbook_refuse_as_obstruct_does():
+    # One decision, in one set of words: wherever either side refuses,
+    # at the default root, at every vertex and at a missing root.
+    pairs = []
+    for text in corpus():
+        try:
+            ids = parse_plumbing(text).ids()
+        except ValueError:
+            ids = ()
+        for root in (None, *ids, 99):
+            at = [] if root is None else ["--root", str(root)]
+            code, _, err = run(["obstruct", "--budget-nodes", "0", "--no-timings", *at, "-"], text)
+            for form in ("dual", "openbook") if root is None else ("dual",):
+                got = run([form, *at, "-"], text)
+                if 3 in (code, got[0]):
+                    pairs.append(((form, root, text), (got[0], got[2]), (code, err)))
+    assert len(pairs) > 900
+    assert [p for p in pairs if p[1] != p[2]] == []
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from plumbcap.dualcap import (
 from plumbcap.intlin import determinant, first_sylvester_violation
 from plumbcap.plumbing import (
     PlumbingGraph,
+    ValidationFailure,
     generate_gamma_n,
     gram_matrix,
     parse_plumbing,
@@ -57,9 +58,10 @@ def test_choose_root_breaks_ties_to_lowest_id():
 
 
 def test_choose_root_requires_a_positive_count():
-    # Every vertex has -e_v - d_v = 0; no braid can be rooted anywhere.
+    # Every vertex has -e_v - d_v = 0; no braid can be rooted anywhere,
+    # and only a graph that validate refuses gets there.
     g = parse_plumbing("v 0 -3\nv 1 -1\nv 2 -1\nv 3 -1\ne 0 1\ne 0 2\ne 0 3\n")
-    with pytest.raises(NoAdmissibleRootError):
+    with pytest.raises(ValidationFailure):
         choose_root(g)
 
 
@@ -307,13 +309,15 @@ def small_trees(draw):
 @settings(derandomize=True, deadline=None)
 @given(small_trees())
 def test_property_dual_builds_exactly_for_valid_trees(g):
-    # The open book makes the same check at the same root.
+    # The open book makes the same check at the same root, and both refuse
+    # in validate's words.
     valid = validate(g).all_ok
     for build in (lambda: build_dual(g, choose_root(g)), lambda: build_open_book(g)):
         try:
             build()
-        except ValueError:
+        except ValueError as exc:
             built = False
+            assert str(exc) == str(ValidationFailure(validate(g)))
         else:
             built = True
         assert built == valid

@@ -6,12 +6,11 @@ from oracles import curves_crossed, random_valid_tree, tree_distances
 
 import plumbcap.intlin
 from plumbcap.dualcap import (
-    NoAdmissibleRootError,
     admissible_roots,
     build_dual,
     build_open_book,
 )
-from plumbcap.plumbing import generate_gamma_n, gram_matrix, parse_plumbing
+from plumbcap.plumbing import ValidationFailure, generate_gamma_n, gram_matrix, parse_plumbing
 
 
 def hole_census(book):
@@ -94,7 +93,7 @@ def test_chain_end_hole_is_separated_by_n_edge_curves():
 
 
 def test_open_book_requires_valid_graph():
-    with pytest.raises(NoAdmissibleRootError):
+    with pytest.raises(ValidationFailure):
         build_open_book(parse_plumbing("v 0 -1\nv 1 -1\ne 0 1\n"))
 
 

@@ -486,3 +486,26 @@ def test_lisca_family_passes_the_d_invariant_test():
         if gcd(m, q) == 1:
             sample.append((m * m, q))
     assert sum(d_allows_rational_ball(p, q) for p, q in sample) == 60
+
+
+def test_observation_unobstructed_lens_orbits_outside_the_family_are_gcd_2():
+    """An observation, not a gate on any verdict: for p = m^2, m < 20, a
+    lens orbit {q, q^-1, p - q, (p - q)^-1} mod p outside ``lisca_family``
+    is obstructed in neither orientation exactly when it holds some
+    L(m^2, mk +- 1) with gcd(m, k) = 2.  Either the recalled family is
+    wrong about gcd(m, k) = 1, or these spaces need an obstruction beyond
+    Donaldson and d; none of them is an expected verdict either way.  It
+    held for m < 30 as well: 1,368 orbits, 1,169 outside, 19 of each."""
+    family = set(lisca_family(20))
+    orbits = {frozenset((m * m, x) for r in (q, m * m - q) for x in (r, pow(r, -1, m * m)))
+              for m in range(2, 20) for q in range(1, m * m) if gcd(m, q) == 1}
+    outside = [o for o in orbits if not o & family]
+    unobstructed = {o for o in outside if all(
+        qhd_obstruction(hirzebruch_jung_chain(p, q)).verdict != OBSTRUCTED for p, q in o)}
+    gcd_2 = {(m * m, m * k + s) for m in range(2, 20) for k in range(1, m + 1)
+             for s in (1, -1) if gcd(m, k) == 2 and m * k + s < m * m}
+    pattern = {o for o in outside if o & gcd_2}
+    assert (len(orbits), len(outside), len(unobstructed)) == (412, 321, 6)
+    assert unobstructed == pattern
+    assert sorted(min(o) for o in pattern) == [
+        (100, 39), (196, 55), (196, 83), (256, 95), (324, 71), (324, 143)]

@@ -14,6 +14,7 @@ from plumbcap.plumbing import (
     GraphFormatError,
     PlumbingGraph,
     generate_gamma_n,
+    graph_wu_classes,
     gram_matrix,
     parse_plumbing,
     rooted_tree,
@@ -457,3 +458,19 @@ def test_vertex_distance_is_additive_along_tree_paths():
             assert whole == dist[c][a]
             hits = [b for b in ids if dist[a][b] + dist[b][c] == whole]
             assert len(hits) == whole + 1
+
+
+def test_graph_wu_classes_match_the_dense_solver():
+    # Every class, in the same order, as wu_classes on the V x V form, on
+    # trees, forests and graphs with cycles, with ids that skip values.
+    rng = random.Random(5)
+    shapes = set()
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        ids = sorted(rng.sample(range(3 * n), n))
+        edges = {(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.3}
+        g = PlumbingGraph(vertices=tuple((v, rng.randint(-5, 2)) for v in ids),
+                          edges=tuple(edges))
+        shapes.add((len(edges) < n - 1, len(edges) > n - 1))
+        assert graph_wu_classes(g) == intlin.wu_classes(gram_matrix(g)), serialize_plumbing(g)
+    assert shapes == {(False, False), (True, False), (False, True)}
