@@ -32,6 +32,7 @@ from .embedder import embed_diagonal
 from .intlin import GramMatrix, check_mu_bar, gram_from_json, mu_bar, wu_classes
 from .plumbing import (
     MAX_VERTICES,
+    ValidationFailure,
     generate_gamma_n,
     graph_wu_classes,
     gram_matrix,
@@ -155,12 +156,14 @@ def _cmd_wu(args) -> tuple[int, dict | str]:
 
 
 def _cmd_mubar(args) -> tuple[int, dict | str]:
-    graph = None if args.gram else _load_graph(args.file)
-    if graph and (report := validate(graph)).is_tree:  # O(V + E), no V x V form
+    if args.gram:
+        value = mu_bar(gram_from_json(_read_text(args.file)))
+    else:  # a tree's invariant, in O(V + E) with no V x V form
+        graph = _load_graph(args.file)
+        if not (report := validate(graph)).is_tree:
+            raise ValidationFailure(report)
         check_mu_bar(report.determinant)
         value = tree_wu_class(graph)[1]
-    else:
-        value = mu_bar(gram_matrix(graph) if graph else gram_from_json(_read_text(args.file)))
     return EXIT_OK, {"mu_bar": value} if args.json else "mu-bar: %d" % value
 
 

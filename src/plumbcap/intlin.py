@@ -151,7 +151,9 @@ def first_sylvester_violation(q: GramMatrix, minors: list[int] | None = None) ->
     A zero minor counts as a violation (definite forms have none), so the
     scan stops before elimination would ever swap rows.  When ``minors``
     is a list, every leading minor scanned is appended to it; after a scan
-    that finds no violation its last entry is det Q.
+    that finds no violation its last entry is det Q.  Of the commands only
+    ``embed`` and ``mubar --gram`` run this O(r^3) scan; a graph is decided
+    by ``plumbing.validate``'s elimination.
     """
     for k, minor in enumerate(_pivots(q)):
         if minors is not None:
@@ -233,6 +235,8 @@ def mu_bar(q: GramMatrix) -> int:
     For a negative definite form the signature is -rank.  Raises
     NotDefiniteError unless Q is negative definite, and NonUniqueSpinError
     when det(Q) is even (two or more Wu classes, no canonical choice).
+    Serves Gram input (``mubar --gram``); a tree's mu-bar is
+    ``plumbing.tree_wu_class``'s, in O(V + E).
     """
     minors = [1]  # so that rank 0 has determinant 1
     definite = first_sylvester_violation(q, minors) is None

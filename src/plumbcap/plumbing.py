@@ -198,7 +198,8 @@ def serialize_plumbing(g: PlumbingGraph) -> str:
 def gram_matrix(g: PlumbingGraph) -> intlin.GramMatrix:
     """The intersection form: framings on the diagonal, 1 per edge.
 
-    Rows/columns follow ascending vertex id; labels are the ids as strings."""
+    Rows/columns follow ascending vertex id; labels are the ids as strings.
+    Serves ``gram``, the one command that builds the V x V form."""
     ids = g.ids()
     n = len(ids)
     index = {vid: i for i, vid in enumerate(ids)}

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_cli_golden import run
+
 import plumbcap
 from plumbcap import cli, pipeline
 from plumbcap.cli import cli_main
@@ -101,6 +103,10 @@ def test_closed_stdout_is_not_an_error(tmp_path):
         ("v 0 -1\nv 1 -5\nv 2 -5\ne 0 1\ne 0 2\n",
          "framing smaller than valency (vertices [0])"),
         ("v 0 -1\nv 1 -1\ne 0 1\n", "not negative definite (vertices [0])"))
+] + [
+    # mu-bar is a tree's invariant: a cycle is refused before any form.
+    (["mubar", "-"], "v 0 -3\nv 1 -3\nv 2 -3\ne 0 1\ne 1 2\ne 0 2\n", 3,
+     "invalid plumbing graph: not a tree (vertices [1, 2])"),
 ])
 def test_rejected_input_prints_one_message(monkeypatch, capsys, argv, stdin, code, err):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -351,11 +357,13 @@ def test_wu_on_a_graph_builds_no_gram_matrix(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == ("wu class: (empty)\n", "")
 
 
-def test_mubar_tree_path_matches_the_dense_path(tmp_path, capsys):
-    # Same value, or same refusal text, as mu_bar on the dense form, for
-    # trees definite or not, of odd or even determinant, and graphs with
-    # a cycle, which keep the dense path.
+def test_mubar_matches_the_dense_path_on_trees_and_refuses_a_cycle_as_obstruct_does():
+    # A tree gives the value, or the refusal text, of mu_bar on the dense
+    # form, definite or not, of odd or even determinant.  A graph with a
+    # cycle is refused as obstruct refuses it, and its dense mu-bar is
+    # still one pipe away: gram --json | mubar --gram -.
     rng = random.Random(31)
+    cycles = 0
     for k in range(300):
         n = rng.randint(1, 8)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -363,14 +371,22 @@ def test_mubar_tree_path_matches_the_dense_path(tmp_path, capsys):
             edges.add((0, n - 1))
         g = PlumbingGraph(vertices=tuple((v, rng.randint(-5, 1)) for v in range(n)),
                           edges=tuple(edges))
+        text = serialize_plumbing(g)
         try:
-            expected = (0, "mu-bar: %d\n" % mu_bar(gram_matrix(g)), "")
+            dense = (0, "mu-bar: %d\n" % mu_bar(gram_matrix(g)), "")
         except ValueError as exc:
-            expected = (3, "", "plumbcap: %s\n" % exc)
-        path = write(tmp_path, "g%d.txt" % k, serialize_plumbing(g))
-        code = cli_main(["mubar", path])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == expected, serialize_plumbing(g)
+            dense = (3, "", "plumbcap: %s\n" % exc)
+        got = run(["mubar", "-"], text)
+        if len(edges) == n - 1:
+            assert got == dense, text
+            continue
+        cycles += 1
+        code, _, err = run(["obstruct", "--budget-nodes", "0", "--no-timings", "-"], text)
+        assert got == (code, "", err) and code == 3, text
+        form = run(["gram", "--json", "-"], text)
+        assert form[0] == 0, text
+        assert run(["mubar", "--gram", "-"], form[1]) == dense, text
+    assert cycles > 30
 
 
 def test_obstruct_verdict_exit_codes(tmp_path, capsys):
@@ -595,6 +611,21 @@ def test_validate_refuses_at_the_vertex_bound_without_a_dense_form(monkeypatch, 
     assert cli_main(["validate", "-"]) == 3
     assert capsys.readouterr() == (message + "\n", "")
     assert called == []
+
+
+def test_mubar_refuses_a_ring_at_the_vertex_bound_under_a_memory_cap(tmp_path):
+    # Refused by validate's walk, not by an O(V^3) scan of the ring's form.
+    text = "".join("v %d -3\n" % v for v in range(MAX_VERTICES)) + "".join(
+        "e %d %d\n" % (v, (v + 1) % MAX_VERTICES) for v in range(MAX_VERTICES))
+    path = write(tmp_path, "g.txt", text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbcap.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from plumbcap.cli import main; main()", "mubar", path],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+        timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "plumbcap: invalid plumbing graph: not a tree (vertices [%d, %d])\n" % (
+        MAX_VERTICES // 2, MAX_VERTICES // 2 + 1)
 
 
 def test_an_oversized_integer_is_refused_with_its_line(monkeypatch, capsys):

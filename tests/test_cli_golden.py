@@ -19,8 +19,11 @@ import sys
 from pathlib import Path
 
 from oracles import random_valid_tree
+import plumbcap.cli
+import plumbcap.intlin
+import plumbcap.plumbing
 from plumbcap.cli import cli_main
-from plumbcap.plumbing import generate_gamma_n, parse_plumbing, serialize_plumbing
+from plumbcap.plumbing import generate_gamma_n, parse_plumbing, serialize_plumbing, validate
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -106,6 +109,38 @@ def test_dual_and_openbook_refuse_as_obstruct_does():
                     pairs.append(((form, root, text), (got[0], got[2]), (code, err)))
     assert len(pairs) > 900
     assert [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_only_gram_input_reaches_the_dense_code(monkeypatch):
+    # No graph command runs a Sylvester scan or mu_bar, and only gram
+    # builds the V x V form.  A graph that is not a tree has no mu-bar
+    # here: mubar refuses it in obstruct's words.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph command reached the dense code")
+
+    documents = corpus()
+    for form in FORMS + ("mubar",):
+        with monkeypatch.context() as patch:
+            for module, name in ((plumbcap.intlin, "first_sylvester_violation"),
+                                 (plumbcap.intlin, "mu_bar"), (plumbcap.cli, "mu_bar")):
+                patch.setattr(module, name, refuse)
+            if form != "gram --json":
+                patch.setattr(plumbcap.plumbing, "gram_matrix", refuse)
+                patch.setattr(plumbcap.cli, "gram_matrix", refuse)
+            for text in documents:
+                run(form.split() + ["-"], text)
+
+    refused = 0
+    for text in documents:
+        try:
+            if validate(parse_plumbing(text)).is_tree:
+                continue
+        except ValueError:
+            continue
+        code, _, err = run(["obstruct", "--budget-nodes", "0", "--no-timings", "-"], text)
+        refused += 1
+        assert code == 3 and run(["mubar", "-"], text) == (code, "", err), text
+    assert refused == 3
 
 
 if __name__ == "__main__":

@@ -213,6 +213,17 @@ def test_gamma_7_report():
     assert len(report.graph.vertices) == 13 and len(report.graph.edges) == 12
 
 
+def test_gamma_n_is_obstructed_in_15n_plus_208_nodes_up_to_500():
+    # An observation over the pinned range, not a theorem.  Through the
+    # pipeline, which hands the search det Q from validate: a bare
+    # embed_diagonal runs its own O(r^3) Sylvester scan first.
+    found = {}
+    for n in [*range(7, 61), 100, 200, 500]:
+        report = qhd_obstruction(generate_gamma_n(n))
+        found[n] = (report.verdict, report.results[0].outcome.nodes)
+    assert found == {n: (OBSTRUCTED, 15 * n + 208) for n in found}
+
+
 def test_report_json_shape_and_timing_toggle():
     report = qhd_obstruction(parse_plumbing(SINGLE_4))
     doc = report.to_json_dict()
